@@ -14,6 +14,7 @@ import argparse
 import csv
 import io
 import json
+import re
 import sys
 from dataclasses import dataclass, field
 
@@ -27,7 +28,7 @@ from .states import (
     SchmidtPair,
     bell_state,
     fidelity,
-    haar_random_qubit,
+    haar_random_amplitudes,
     mixed_resource,
     partially_entangled,
     qubit,
@@ -36,6 +37,15 @@ from .states import (
 SCHEMA_COMMENT = "# schema=1"
 
 COMMANDS = ("teleport", "naive", "conclusive", "quasi", "steer", "povm-check")
+
+MAX_TRIALS = 10**8
+"""Largest accepted --trials."""
+
+MAX_SWEEP_POINTS = 10**4
+"""Largest number of points a START:STOP:STEP sweep may hold."""
+
+TELEPORT_CHUNK = 4096
+"""Inputs the teleport command evaluates per batch; bounds its memory."""
 
 
 class CliError(Exception):
@@ -61,8 +71,8 @@ class RunConfig:
             raise CliError(f"unknown command {self.command!r}")
         if not 0 <= self.seed < 2**64:
             raise CliError("seed must be an unsigned 64-bit integer")
-        if self.trials < 1:
-            raise CliError("trials must be >= 1")
+        if not 1 <= self.trials <= MAX_TRIALS:
+            raise CliError(f"trials must lie in [1, {MAX_TRIALS}]")
         if self.output_format not in ("csv", "json"):
             raise CliError("format must be csv or json")
         for name, values in self.sweep.items():
@@ -88,12 +98,15 @@ _PARAM_DOMAINS = {
 
 def parse_range(text: str) -> list[float]:
     """Parse a sweep: a single value or start:stop:step (both ends closed;
-    stop is included when it lies within 1e-12 of a step point)."""
+    stop is included when it lies within 1e-12 of a step point), holding at
+    most MAX_SWEEP_POINTS values."""
     parts = text.split(":")
     try:
         nums = [float(p) for p in parts]
     except ValueError as exc:
         raise CliError(f"cannot parse sweep {text!r}") from exc
+    if not all(np.isfinite(nums)):
+        raise CliError(f"sweep values must be finite, got {text!r}")
     if len(parts) == 1:
         return nums
     if len(parts) != 3:
@@ -103,11 +116,17 @@ def parse_range(text: str) -> list[float]:
         raise CliError("sweep step must be positive")
     if stop < start:
         raise CliError("sweep stop must be >= start")
-    k_round = round((stop - start) / step)
+    span = (stop - start) / step
+    too_long = f"sweep {text!r} holds more than {MAX_SWEEP_POINTS} points"
+    if span >= MAX_SWEEP_POINTS:  # also catches a span that overflows to inf
+        raise CliError(too_long)
+    k_round = round(span)
     if k_round >= 0 and abs(start + k_round * step - stop) <= 1e-12:
         count = k_round
     else:
-        count = int(np.floor((stop - start) / step + 1e-12))
+        count = int(np.floor(span + 1e-12))
+    if count >= MAX_SWEEP_POINTS:
+        raise CliError(too_long)
     return [start + k * step for k in range(count + 1)]
 
 
@@ -163,26 +182,26 @@ def _resolve_phi(config: RunConfig) -> PureState:
 
 
 def _run_teleport(config: RunConfig) -> tuple[list[dict], list[str]]:
-    singlet = bell_state("psi-")
+    maps = protocols.teleport_maps(bell_state("psi-"))
     max_dev = 0.0
     min_fid = 1.0
     fid_sum = 0.0
-    count = 0
-    for t in range(config.trials):
-        rng = protocols.trial_rng(config.seed, t)
-        phi = haar_random_qubit(rng)
-        for rec in protocols.standard_teleport(phi, singlet):
-            max_dev = max(max_dev, abs(rec.probability - 0.25))
-            min_fid = min(min_fid, rec.fidelity)
-            fid_sum += rec.fidelity
-            count += 1
+    for start in range(0, config.trials, TELEPORT_CHUNK):
+        phis = np.array([
+            haar_random_amplitudes(2, protocols.trial_rng(config.seed, t))
+            for t in range(start, min(start + TELEPORT_CHUNK, config.trials))
+        ])
+        probs, fids = maps.evaluate(phis)
+        max_dev = max(max_dev, float(np.abs(probs - 0.25).max()))
+        min_fid = min(min_fid, float(fids.min()))
+        fid_sum += float(fids.sum())
     row = {
         "seed": config.seed,
         "trials": config.trials,
         "expected_branch_probability": 0.25,
         "max_prob_deviation": max_dev,
         "min_fidelity": min_fid,
-        "mean_fidelity": fid_sum / count,
+        "mean_fidelity": fid_sum / (len(maps.labels) * config.trials),
     }
     return [row], list(row.keys())
 
@@ -356,13 +375,14 @@ def _run_povm_check(config: RunConfig) -> tuple[list[dict], list[str]]:
         s = SchmidtPair.from_a_squared(a2)
         built.append((f"discrimination(a2={a2:g})", povm_mod.discrimination_povm(s)))
     for name, p in built:
+        min_eig = povm_mod.min_eigenvalue(p.elements)
         rows.append({
             "povm": name,
             "dim": p.dim,
             "n_elements": len(p),
             "completeness_residual": povm_mod.completeness_residual(p.elements),
-            "min_eigenvalue": povm_mod.min_eigenvalue(p.elements),
-            "psd_ok": povm_mod.min_eigenvalue(p.elements) >= -1e-9,
+            "min_eigenvalue": min_eig,
+            "psd_ok": min_eig >= -1e-9,
         })
     return rows, _POVM_CHECK_COLUMNS
 
@@ -406,8 +426,20 @@ def _add_phi_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--beta-im", type=float, default=None)
 
 
+class _Parser(argparse.ArgumentParser):
+    """ArgumentParser that reads a separate negative number in exponent
+    notation (``--alpha-im -9.8e-05``) as a value; argparse's own pattern
+    knows only plain decimals and takes such a token for an option."""
+
+    _NEGATIVE_NUMBER = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = self._NEGATIVE_NUMBER
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="teleportsim",
         description="Teleportation-as-generalized-measurement simulator",
     )

@@ -5,6 +5,13 @@ and is the highest-order factor, particles 2 and 3 are the shared resource
 with 3 (Bob) lowest.  A joint measurement on particles (1, 2) therefore acts
 as ``kron(M, I_2)`` on the 8-dimensional state.
 
+Every branch of a protocol (one outcome of Alice's measurement on particles
+(1, 2), then Bob's recovery rotation) acts on the input as one fixed linear
+map, set by the measurement element, the resource and the correction.
+``TransferMaps`` holds these maps for all branches and evaluates branch
+probabilities and fidelities for a whole batch of inputs at once; the
+per-input protocol functions are views over it.
+
 All protocol functions are pure; Monte Carlo helpers take an explicit seed
 and derive per-block generators from a counter-based (Philox) stream keyed
 by (seed, block index), so results are independent of execution order.
@@ -17,7 +24,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .linalg import dagger, kron, partial_trace, readonly, sqrt_psd
+from .linalg import dagger, kron, readonly
 from .povm import discrimination_povm, is_conclusive_label
 from .states import (
     BELL_LABELS,
@@ -26,12 +33,16 @@ from .states import (
     SchmidtPair,
     bell_state,
     fidelity,
-    haar_random_qubit,
+    haar_random_amplitudes,
     mixed_resource,
     partially_entangled,
 )
 
 MAX_FILTER_INDEX = 2**63 - 1
+
+PROB_FLOOR = 1e-12
+"""Branches less likely than this are reported as impossible: probability
+and fidelity 0, and never a success."""
 
 _I2 = np.eye(2, dtype=complex)
 
@@ -70,16 +81,98 @@ def bell_projectors() -> dict[str, np.ndarray]:
 
 @dataclass(frozen=True)
 class ProtocolRecord:
-    """One branch of a protocol run."""
+    """One branch of a protocol run on one input."""
 
     outcome_label: str
     probability: float
-    bob_state_pre: PureState | DensityMatrix | None
-    correction: np.ndarray | None
-    bob_state_post: PureState | DensityMatrix | None
     fidelity: float
     success: bool
     classical_bits: int = 2
+
+
+@dataclass(frozen=True)
+class TransferMaps:
+    """All branches of one protocol as linear maps on the input qubit.
+
+    ``maps[l]`` is a 4x4 matrix over flattened 2x2 operators that carries
+    the input projector phi phi^dag to Bob's corrected, unnormalized state
+    in branch l:
+
+        rho_l[c, d] = sum_ab maps[l, (c, d), (a, b)] phi_a conj(phi_b).
+
+    Its trace is the branch probability and <phi|rho_l|phi> / Tr rho_l the
+    fidelity.  A pure resource with a rank-one element gives one 2x2 map
+    K_l and maps[l] = K_l (x) conj(K_l); a mixed resource gives a sum of
+    such terms, so pure and mixed resources share this one path.
+    """
+
+    labels: tuple[str, ...]
+    maps: np.ndarray
+    success: np.ndarray
+    """Per branch: whether the branch is a success when it occurs."""
+    classical_bits: int
+
+    def evaluate(self, phis: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Branch probabilities and fidelities, each of shape (inputs,
+        branches), for normalized input amplitudes of shape (inputs, 2)."""
+        x = (phis[:, :, None] * phis[:, None, :].conj()).reshape(-1, 4)
+        out = np.einsum("lij,nj->nli", self.maps, x)
+        prob = out[:, :, 0].real + out[:, :, 3].real
+        overlap = np.einsum("nj,nlj->nl", x.conj(), out).real
+        occurs = prob >= PROB_FLOOR
+        prob = np.where(occurs, prob, 0.0)
+        fid = np.divide(overlap, prob, out=np.zeros_like(prob), where=occurs)
+        return prob, fid
+
+    def records(self, phi: PureState) -> list[ProtocolRecord]:
+        """One record per branch for a single input."""
+        if phi.dim != 2:
+            raise ValueError("input state must be a single qubit")
+        prob, fid = self.evaluate(phi.amplitudes[None, :])
+        return [
+            ProtocolRecord(label, float(p), float(f), bool(ok and p > 0.0), self.classical_bits)
+            for label, p, f, ok in zip(self.labels, prob[0], fid[0], self.success)
+        ]
+
+
+def _resource_matrix(resource: PureState | DensityMatrix) -> np.ndarray:
+    if isinstance(resource, PureState):
+        return np.outer(resource.amplitudes, resource.amplitudes.conj())
+    return resource.matrix
+
+
+def _transfer_maps(elements, resource: np.ndarray, corrections) -> np.ndarray:
+    """Branch maps for Alice's POVM elements on particles (1, 2), the
+    resource density matrix on (2, 3) and Bob's correction per branch.
+
+    Bob's state depends on Alice's element A alone, not on the Kraus
+    operator that realizes it: rho_B = Tr_12[(A (x) I)(phi phi^dag (x) rho_R)],
+    corrected to U rho_B U^dag.
+    """
+    a = np.asarray(elements).reshape(-1, 2, 2, 2, 2)  # A[l, (b, y), (a, z)]
+    r = resource.reshape(2, 2, 2, 2)  # rho_R[(z, x), (y, w)]
+    u = np.asarray(corrections)  # U[l, c, x]
+    maps = np.einsum("lcx,lbyaz,zxyw,ldw->lcdab", u, a, r, u.conj())
+    return readonly(maps.reshape(-1, 4, 4))
+
+
+def teleport_maps(
+    resource: PureState | DensityMatrix,
+    corrections: Mapping[str, np.ndarray] | None = None,
+) -> TransferMaps:
+    """Bell measurement on particles (1, 2) over a two-qubit resource, pure
+    or mixed, then the outcome's recovery rotation (the singlet table by
+    default)."""
+    if resource.dim != 4:
+        raise ValueError("resource must be a two-qubit state")
+    corr = correction_table("psi-") if corrections is None else corrections
+    projectors = bell_projectors()
+    maps = _transfer_maps(
+        [projectors[label] for label in BELL_LABELS],
+        _resource_matrix(resource),
+        [corr[label] for label in BELL_LABELS],
+    )
+    return TransferMaps(BELL_LABELS, maps, readonly(np.ones(4, dtype=bool)), 2)
 
 
 @dataclass(frozen=True)
@@ -106,32 +199,6 @@ class FilterParams:
         return cls(n=float(1.0 / strength**2), strength=float(strength))
 
 
-def _bob_conditional_pure(joint: np.ndarray, bra12: np.ndarray) -> tuple[float, PureState | None]:
-    """Project particles (1, 2) of an 8-vector onto <bra12| and return the
-    branch probability and Bob's normalized state."""
-    bob = bra12.conj() @ joint.reshape(4, 2)
-    prob = float(np.vdot(bob, bob).real)
-    if prob < 1e-12:
-        return 0.0, None
-    return prob, PureState(bob / np.sqrt(prob))
-
-
-def _record_pure(label, prob, bob, corr, target, bits) -> ProtocolRecord:
-    if bob is None:
-        return ProtocolRecord(label, 0.0, None, corr, None, 0.0, False, bits)
-    post = PureState(corr @ bob.amplitudes) if corr is not None else bob
-    return ProtocolRecord(
-        outcome_label=label,
-        probability=prob,
-        bob_state_pre=bob,
-        correction=corr,
-        bob_state_post=post,
-        fidelity=fidelity(target, post),
-        success=True,
-        classical_bits=bits,
-    )
-
-
 def standard_teleport(
     phi: PureState,
     resource: PureState | DensityMatrix,
@@ -141,41 +208,10 @@ def standard_teleport(
     particles (1, 2) followed by the outcome-dependent recovery rotation.
 
     With the singlet resource every branch occurs with probability 1/4 and
-    reaches fidelity one after correction.  A density-matrix resource runs
-    the same protocol in density-matrix form (used after filtering).
+    reaches fidelity one after correction.  A density-matrix resource (used
+    after filtering) runs through the same branch maps.
     """
-    if phi.dim != 2:
-        raise ValueError("input state must be a single qubit")
-    if resource.dim != 4:
-        raise ValueError("resource must be a two-qubit state")
-    corr = dict(correction_table("psi-")) if corrections is None else dict(corrections)
-
-    if isinstance(resource, PureState):
-        joint = kron(phi.amplitudes, resource.amplitudes)
-        records = []
-        for label in BELL_LABELS:
-            prob, bob = _bob_conditional_pure(joint, bell_state(label).amplitudes)
-            records.append(_record_pure(label, prob, bob, corr[label], phi, 2))
-        return records
-
-    rho_full = kron(np.outer(phi.amplitudes, phi.amplitudes.conj()), resource.matrix)
-    records = []
-    for label, proj in bell_projectors().items():
-        op = kron(proj, _I2)
-        sub = op @ rho_full @ op
-        prob = float(np.trace(sub).real)
-        if prob < 1e-12:
-            records.append(ProtocolRecord(label, 0.0, None, corr[label], None, 0.0, False, 2))
-            continue
-        rho_bob = partial_trace(sub, (4, 2), trace_out="A") / prob
-        u = corr[label]
-        rho_post = u @ rho_bob @ dagger(u)
-        pre = DensityMatrix(rho_bob)
-        post = DensityMatrix(rho_post)
-        records.append(
-            ProtocolRecord(label, prob, pre, u, post, fidelity(phi, post), True, 2)
-        )
-    return records
+    return teleport_maps(resource, corrections).records(phi)
 
 
 def naive_phi_plus_probability(phi: PureState, s: SchmidtPair) -> float:
@@ -210,11 +246,6 @@ _ODD_ISOMETRY[2, 0] = 1.0
 _ODD_ISOMETRY[1, 1] = 1.0
 
 _SUBSPACES = (("even", _EVEN_ISOMETRY), ("odd", _ODD_ISOMETRY))
-
-
-def parity_projectors() -> dict[str, np.ndarray]:
-    """Projectors onto the even/odd parity subspaces of two qubits."""
-    return {name: readonly(t @ dagger(t)) for name, t in _SUBSPACES}
 
 
 @dataclass(frozen=True)
@@ -277,53 +308,34 @@ _CONCLUSIVE_CORRECTIONS = {
 }
 
 
+def conclusive_maps(s: SchmidtPair) -> TransferMaps:
+    """Branch maps of the conclusive protocol over a|00> + b|11>: inside
+    each parity subspace of particles (1, 2), the unambiguous
+    discrimination POVM for (a, b) vs (a, -b).  Inconclusive branches get
+    no correction."""
+    disc = discrimination_povm(s)
+    labels, elements, corrections, success = [], [], [], []
+    for name, t in _SUBSPACES:
+        for label, a in zip(disc.labels, disc.elements):
+            labels.append(f"{name}:{label}")
+            elements.append(t @ a @ dagger(t))
+            corrections.append(_CONCLUSIVE_CORRECTIONS.get((name, label), _ROT_ID))
+            success.append(is_conclusive_label(label))
+    maps = _transfer_maps(elements, _resource_matrix(partially_entangled(s)), corrections)
+    return TransferMaps(tuple(labels), maps, readonly(np.array(success)), 3)
+
+
 def conclusive_teleport(phi: PureState, s: SchmidtPair) -> list[ProtocolRecord]:
     """Teleportation over a|00> + b|11> that is perfect whenever it succeeds.
 
     The Bell measurement's second stage is replaced inside each parity
     subspace by the unambiguous discrimination POVM for (a, b) vs (a, -b).
     Conclusive branches deliver the input exactly after the recovery
-    rotation; inconclusive branches are flagged unsuccessful and retain
-    Bob's (discarded) state for auditing.  The total success probability is
+    rotation; inconclusive branches are flagged unsuccessful and report the
+    fidelity of Bob's uncorrected state.  The total success probability is
     1 - (a^2 - b^2), independent of the input.
     """
-    if phi.dim != 2:
-        raise ValueError("input state must be a single qubit")
-    joint = kron(phi.amplitudes, partially_entangled(s).amplitudes)
-    disc = discrimination_povm(s)
-    kraus = [sqrt_psd(a) for a in disc.elements]
-    records = []
-    for name, t in _SUBSPACES:
-        for label, m in zip(disc.labels, kraus):
-            op = kron(t @ m @ dagger(t), _I2)
-            out_vec = op @ joint
-            prob = float(np.vdot(out_vec, out_vec).real)
-            full_label = f"{name}:{label}"
-            conclusive = is_conclusive_label(label)
-            corr = _CONCLUSIVE_CORRECTIONS.get((name, label))
-            if prob < 1e-12:
-                records.append(
-                    ProtocolRecord(full_label, 0.0, None, corr, None, 0.0, False, 3)
-                )
-                continue
-            rho_bob = partial_trace(
-                np.outer(out_vec, out_vec.conj()), (4, 2), trace_out="A"
-            ) / prob
-            bob = DensityMatrix(rho_bob).pure_state()
-            post = PureState(corr @ bob.amplitudes) if corr is not None else bob
-            records.append(
-                ProtocolRecord(
-                    outcome_label=full_label,
-                    probability=prob,
-                    bob_state_pre=bob,
-                    correction=corr,
-                    bob_state_post=post,
-                    fidelity=fidelity(phi, post),
-                    success=conclusive,
-                    classical_bits=3,
-                )
-            )
-    return records
+    return conclusive_maps(s).records(phi)
 
 
 def p_prime_after_filter(p: float, n: float) -> float:
@@ -362,38 +374,17 @@ def max_teleport_fidelity(f: float) -> float:
     return (2.0 * f + 1.0) / 3.0
 
 
-def _teleport_channel_apply(m: np.ndarray, resource: np.ndarray, corr: dict) -> np.ndarray:
-    """Action of the teleportation channel on an arbitrary 2x2 operator."""
-    full = kron(m, resource)
-    out = np.zeros((2, 2), dtype=complex)
-    for label, proj in bell_projectors().items():
-        op = kron(proj, _I2)
-        sub = op @ full @ op
-        rho_bob = partial_trace(sub, (4, 2), trace_out="A")
-        u = corr[label]
-        out += u @ rho_bob @ dagger(u)
-    return out
-
-
 def teleport_entanglement_fidelity(resource: DensityMatrix) -> float:
-    """Entanglement fidelity of the standard teleportation channel over the
-    given resource, evaluated by sending half of a maximally entangled pair."""
-    corr = correction_table("psi-")
-    phi_plus = bell_state("phi+").amplitudes
-    out = np.zeros((4, 4), dtype=complex)
-    basis = np.eye(2, dtype=complex)
-    # (channel (x) id) applied to |phi+><phi+| assembled term by term.
-    for i in range(2):
-        for j in range(2):
-            e_ij = np.outer(basis[i], basis[j].conj())
-            out += 0.5 * kron(_teleport_channel_apply(e_ij, resource.matrix, corr), e_ij)
-    return float(np.vdot(phi_plus, out @ phi_plus).real)
+    """Entanglement fidelity of standard teleportation (singlet correction
+    table) over the given resource.  It equals the resource's singlet
+    fraction <psi-|rho|psi-> (Horodecki, Horodecki & Horodecki, PRA 60,
+    1888 (1999))."""
+    return fidelity(bell_state("psi-"), resource)
 
 
 def teleport_average_fidelity(resource: DensityMatrix) -> float:
     """Average fidelity of standard teleportation over the resource, uniform
-    over pure inputs; equals (2 F_e + 1) / 3 with F_e the entanglement
-    fidelity, so the average reduces to a fixed weighted trace."""
+    over pure inputs: (2 F_e + 1) / 3 with F_e the entanglement fidelity."""
     return max_teleport_fidelity(teleport_entanglement_fidelity(resource))
 
 
@@ -430,10 +421,6 @@ class QuasiConclusiveResult:
     filter_success_prob: float
     average_fidelity: float
     records: tuple[ProtocolRecord, ...]
-
-    @property
-    def overall_success_prob(self) -> float:
-        return self.filter_success_prob
 
 
 def quasi_conclusive_teleport(phi: PureState, p: float, epsilon: float) -> QuasiConclusiveResult:
@@ -481,33 +468,31 @@ def conclusive_monte_carlo(
 ) -> ConclusiveMonteCarlo:
     """Sample the conclusive protocol ``trials`` times.
 
-    Inputs are drawn Haar-uniformly once per block; outcomes are sampled by
-    inverse CDF over the branch probabilities.  A wrong outcome is a sampled
-    conclusive branch whose post-correction fidelity falls below 1 - 1e-10.
+    Inputs are drawn Haar-uniformly once per block and evaluated in one
+    batch; outcomes are sampled by inverse CDF over the branch
+    probabilities, block by block.  A wrong outcome is a sampled conclusive
+    branch whose post-correction fidelity falls below 1 - 1e-10.
     """
     if trials < 1:
         raise ValueError("trials must be positive")
     blocks = min(blocks, trials)
     sizes = [trials // blocks + (1 if i < trials % blocks else 0) for i in range(blocks)]
+    maps = conclusive_maps(s)
+    rngs = [trial_rng(seed, b) for b in range(blocks)]
+    probs, fids = maps.evaluate(np.array([haar_random_amplitudes(2, rng) for rng in rngs]))
+    last = len(maps.labels) - 1
     successes = 0
     wrong = 0
     min_fid = 1.0
-    for b, size in enumerate(sizes):
-        rng = trial_rng(seed, b)
-        phi = haar_random_qubit(rng)
-        records = conclusive_teleport(phi, s)
-        probs = np.array([r.probability for r in records])
-        cum = np.cumsum(probs)
-        draws = rng.random(size) * cum[-1]
-        idx = np.searchsorted(cum, draws, side="right")
-        idx = np.minimum(idx, len(records) - 1)
-        for k in idx:
-            r = records[k]
-            if r.success:
-                successes += 1
-                min_fid = min(min_fid, r.fidelity)
-                if r.fidelity < 1.0 - 1e-10:
-                    wrong += 1
+    for rng, size, prob, fid in zip(rngs, sizes, probs, fids):
+        cum = np.cumsum(prob)
+        idx = np.searchsorted(cum, rng.random(size) * cum[-1], side="right")
+        counts = np.bincount(np.minimum(idx, last), minlength=last + 1)
+        hit = maps.success & (counts > 0)
+        if hit.any():
+            successes += int(counts[hit].sum())
+            wrong += int(counts[hit & (fid < 1.0 - 1e-10)].sum())
+            min_fid = min(min_fid, float(fid[hit].min()))
     return ConclusiveMonteCarlo(
         trials=trials,
         successes=successes,

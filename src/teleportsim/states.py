@@ -175,10 +175,16 @@ def mixed_resource(p: float) -> DensityMatrix:
     return DensityMatrix(p * singlet + (1.0 - p) * np.outer(zero2, zero2.conj()))
 
 
+def haar_random_amplitudes(dim: int, rng: np.random.Generator) -> np.ndarray:
+    """Normalized amplitudes of a Haar-distributed pure state, as a plain
+    array for batched evaluation."""
+    v = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+    return v / np.linalg.norm(v)
+
+
 def haar_random_state(dim: int, rng: np.random.Generator) -> PureState:
     """Haar-distributed pure state of the given dimension."""
-    v = rng.normal(size=dim) + 1j * rng.normal(size=dim)
-    return PureState(v / np.linalg.norm(v))
+    return PureState(haar_random_amplitudes(dim, rng))
 
 
 def haar_random_qubit(rng: np.random.Generator) -> PureState:

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from teleportsim import cli, protocols
-from teleportsim.states import SchmidtPair, qubit
+from teleportsim.states import SchmidtPair, bell_state, haar_random_qubit, qubit
 
 
 def run_cli(args, capsys=None):
@@ -35,6 +35,20 @@ class TestParseRange:
         values = cli.parse_range("0.5:0.95:0.2")
         np.testing.assert_allclose(values, [0.5, 0.7, 0.9], atol=1e-12)
 
+    def test_rejects_oversized_sweep_before_building_it(self):
+        with pytest.raises(cli.CliError, match="points"):
+            cli.parse_range("0.5:1.0:1e-15")
+        with pytest.raises(cli.CliError, match="points"):
+            cli.parse_range("0:1:1e-320")  # the span overflows to inf
+        assert len(cli.parse_range(f"0:{cli.MAX_SWEEP_POINTS - 1}:1")) == cli.MAX_SWEEP_POINTS
+        with pytest.raises(cli.CliError, match="points"):
+            cli.parse_range(f"0:{cli.MAX_SWEEP_POINTS}:1")
+
+    def test_rejects_non_finite(self):
+        for text in ("nan", "0.5:inf:0.1", "0.5:1.0:nan"):
+            with pytest.raises(cli.CliError):
+                cli.parse_range(text)
+
     def test_rejects_bad_syntax(self):
         with pytest.raises(cli.CliError):
             cli.parse_range("0.5:1.0")
@@ -42,6 +56,27 @@ class TestParseRange:
             cli.parse_range("abc")
         with pytest.raises(cli.CliError):
             cli.parse_range("1.0:0.5:0.1")
+
+
+class TestNegativeValues:
+    def test_exponent_notation_is_a_value(self):
+        args = cli.build_parser().parse_args(
+            ["povm-check", "--alpha-re", "1", "--alpha-im", "-9.8e-05", "--beta-re", "0"]
+        )
+        assert args.alpha_im == -9.8e-05
+        args = cli.build_parser().parse_args(["steer", "--beta-im", "-1E+2", "--alpha-re", "-.5"])
+        assert (args.beta_im, args.alpha_re) == (-100.0, -0.5)
+
+    def test_exponent_notation_run(self, tmp_path):
+        path = tmp_path / "povm.csv"
+        argv = ["povm-check", "--alpha-re", "0.6", "--alpha-im", "-1e-12", "--beta-re", "0.8"]
+        assert run_cli(argv + ["--out", str(path)]) == 0
+        assert read_csv(str(path))[0]["psd_ok"] == "true"
+
+    def test_option_like_token_still_rejected(self):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["povm-check", "--alpha-im", "-e5"])
+        assert exc.value.code == 2
 
 
 class TestEmit:
@@ -182,6 +217,34 @@ class TestCommands:
         assert float(row["max_prob_deviation"]) < 1e-10
         assert float(row["min_fidelity"]) > 1 - 1e-10
 
+    def test_teleport_chunks_equal_per_trial_reference(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(cli, "TELEPORT_CHUNK", 7)
+        path = tmp_path / "tele.csv"
+        assert run_cli(["teleport", "--trials", "50", "--seed", "3", "--out", str(path)]) == 0
+        row = read_csv(str(path))[0]
+        fids, devs = [], []
+        for t in range(50):
+            phi = haar_random_qubit(protocols.trial_rng(3, t))
+            for rec in protocols.standard_teleport(phi, bell_state("psi-")):
+                fids.append(rec.fidelity)
+                devs.append(abs(rec.probability - 0.25))
+        assert float(row["max_prob_deviation"]) == max(devs)
+        assert float(row["min_fidelity"]) == min(fids)
+        assert abs(float(row["mean_fidelity"]) - sum(fids) / len(fids)) < 1e-15
+
+    def test_conclusive_counts_pinned(self, tmp_path):
+        # counts of the original per-trial sampler, which the vectorized one keeps
+        path = tmp_path / "conc.csv"
+        argv = ["conclusive", "--a2", "0.8", "--trials", "100000", "--seed", "7"]
+        assert run_cli(argv + ["--out", str(path)]) == 0
+        row = read_csv(str(path))[0]
+        assert (int(row["successes"]), int(row["wrong_outcomes"])) == (39857, 0)
+        argv = ["conclusive", "--a2", "0.5:1.0:0.25", "--trials", "2000", "--seed", "3"]
+        assert run_cli(argv + ["--out", str(path)]) == 0
+        rows = read_csv(str(path))
+        assert [int(r["successes"]) for r in rows] == [2000, 1010, 0]
+        assert all(int(r["wrong_outcomes"]) == 0 for r in rows)
+
     def test_steer_b92(self, tmp_path):
         path = tmp_path / "steer.csv"
         run_cli(["steer", "--a2", "0.8", "--out", str(path)])
@@ -204,6 +267,14 @@ class TestExitCodes:
         with pytest.raises(SystemExit) as exc:
             cli.main(["conclusive", "--bogus", "1"])
         assert exc.value.code == 2
+
+    def test_trials_bound_exits_two(self):
+        assert run_cli(["conclusive", "--trials", str(cli.MAX_TRIALS + 1)]) == 2
+        assert run_cli(["teleport", "--trials", "0"]) == 2
+        assert cli.RunConfig("conclusive", trials=cli.MAX_TRIALS).trials == cli.MAX_TRIALS
+
+    def test_oversized_sweep_exits_two(self):
+        assert run_cli(["conclusive", "--a2", "0.5:1.0:1e-15"]) == 2
 
     def test_domain_violation_exits_two(self):
         assert run_cli(["conclusive", "--a2", "0.3"]) == 2

@@ -383,7 +383,6 @@ class TestQuasiConclusive:
         result = pr.quasi_conclusive_teleport(phi, 0.5, 0.1)
         assert len(result.records) == 4
         assert abs(sum(r.probability for r in result.records) - 1.0) < 1e-10
-        assert result.overall_success_prob == result.filter_success_prob
         assert abs(result.p_prime - pr.p_prime_after_filter(0.5, result.n)) < 1e-12
 
 
