@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import re
@@ -22,7 +23,7 @@ import numpy as np
 
 from . import povm as povm_mod
 from . import protocols, steering
-from .linalg import max_abs, partial_trace
+from .linalg import ATOL, max_abs, partial_trace
 from .states import (
     PureState,
     SchmidtPair,
@@ -91,8 +92,6 @@ class RunConfig:
 _PARAM_DOMAINS = {
     "a2": (0.5, 1.0, True, True),
     "p": (0.0, 1.0, False, False),
-    "n": (1.0, float("inf"), True, False),
-    "epsilon": (0.0, 1.0, False, False),
 }
 
 
@@ -176,8 +175,6 @@ def emit(rows: list[dict], columns: list[str], output_format: str, path: str) ->
 def _resolve_phi(config: RunConfig) -> PureState:
     alpha = config.alpha if config.alpha is not None else complex(1 / np.sqrt(2))
     beta = config.beta if config.beta is not None else complex(1 / np.sqrt(2))
-    if abs(abs(alpha) ** 2 + abs(beta) ** 2 - 1.0) > 1e-9:
-        raise CliError("alpha, beta must satisfy |alpha|^2 + |beta|^2 = 1")
     return qubit(alpha, beta)
 
 
@@ -337,8 +334,8 @@ def _run_steer(config: RunConfig) -> tuple[list[dict], list[str]]:
         for a2 in config.sweep["a2"]:
             s = SchmidtPair.from_a_squared(a2)
             result = steering.b92_generation(s, basis=config.basis)
-            shared = partially_entangled(s).density().matrix
-            reduced = partial_trace(shared, (2, 2), trace_out="A")
+            v = partially_entangled(s).amplitudes
+            reduced = partial_trace(np.outer(v, v.conj()), (2, 2), trace_out="A")
             residual = max_abs(result.realized_density() - reduced)
             states = [b.bob_state for b in result.branches if b.bob_state is not None]
             overlap = abs(states[0].overlap(states[1])) if len(states) == 2 else 1.0
@@ -373,7 +370,7 @@ def _run_povm_check(config: RunConfig) -> tuple[list[dict], list[str]]:
     built = [("teleportation", povm_mod.teleportation_povm(alpha, beta))]
     for a2 in config.sweep.get("a2", []):
         s = SchmidtPair.from_a_squared(a2)
-        built.append((f"discrimination(a2={a2:g})", povm_mod.discrimination_povm(s)))
+        built.append((f"discrimination(a2={a2!r})", povm_mod.discrimination_povm(s)))
     for name, p in built:
         min_eig = povm_mod.min_eigenvalue(p.elements)
         rows.append({
@@ -382,7 +379,7 @@ def _run_povm_check(config: RunConfig) -> tuple[list[dict], list[str]]:
             "n_elements": len(p),
             "completeness_residual": povm_mod.completeness_residual(p.elements),
             "min_eigenvalue": min_eig,
-            "psd_ok": min_eig >= -1e-9,
+            "psd_ok": min_eig >= -ATOL,
         })
     return rows, _POVM_CHECK_COLUMNS
 
@@ -438,7 +435,10 @@ class _Parser(argparse.ArgumentParser):
         self._negative_number_matcher = self._NEGATIVE_NUMBER
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process and shared by every
+    ``main`` call; parsing leaves it unchanged."""
     parser = _Parser(
         prog="teleportsim",
         description="Teleportation-as-generalized-measurement simulator",

@@ -45,16 +45,6 @@ def min_eigenvalue(elements: Sequence[np.ndarray]) -> float:
     return float(min(vals))
 
 
-def is_valid_povm(elements: Sequence[np.ndarray], atol: float = ATOL) -> bool:
-    mats = [as_complex_matrix(e) for e in elements]
-    dim = mats[0].shape[0]
-    if any(m.shape != (dim, dim) for m in mats):
-        return False
-    if any(not is_psd(m, atol) for m in mats):
-        return False
-    return completeness_residual(mats) <= atol
-
-
 @dataclass(frozen=True)
 class Povm:
     """Ordered positive operators summing to the identity, with unique labels."""
@@ -245,6 +235,15 @@ def filter_pair(v1) -> KrausSet:
     return KrausSet((v, v2))
 
 
+def inverse_cdf(probs: np.ndarray, draws: float | np.ndarray) -> np.ndarray:
+    """Outcome index for each draw in [0, 1) over non-negative, unnormalized
+    outcome probabilities: the first i with draw * total < probs[0] + ... +
+    probs[i], or the last outcome where rounding lifts draw * total to the
+    total.  Takes a scalar or an array of draws and returns the same shape."""
+    cum = np.cumsum(probs)
+    return np.searchsorted(cum[:-1], draws * cum[-1], side="right")
+
+
 def measure(p: Povm, rho: DensityMatrix, rng_draw: float) -> MeasurementOutcome:
     """Sample one outcome by inverse CDF over p_i = Tr(A_i rho).
 
@@ -257,12 +256,9 @@ def measure(p: Povm, rho: DensityMatrix, rng_draw: float) -> MeasurementOutcome:
     if p.dim != rho.dim:
         raise ValueError("POVM and state dimensions do not match")
     probs = np.array([float(np.trace(a @ rho.matrix).real) for a in p.elements])
-    total = probs.sum()
-    if total < 1e-12:
+    if probs.sum() < 1e-12:
         raise RuntimeError("all outcome probabilities vanish for a valid POVM and state")
-    cum = np.cumsum(probs)
-    idx = int(np.searchsorted(cum, rng_draw * total, side="right"))
-    idx = min(idx, len(p) - 1)
+    idx = int(inverse_cdf(probs, rng_draw))
     prob = float(probs[idx])
     post = None
     if prob > 1e-12:

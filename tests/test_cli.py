@@ -184,6 +184,13 @@ class TestCommands:
         assert len(rows) == 2
         assert all(float(r["completeness_residual"]) < 1e-9 for r in rows)
 
+    def test_povm_check_sweep_labels_distinct(self, tmp_path):
+        path = tmp_path / "povm.csv"
+        assert run_cli(["povm-check", "--a2", "0.7:0.7000003:0.0000001", "--out", str(path)]) == 0
+        labels = [r["povm"] for r in read_csv(str(path))[1:]]
+        assert len(labels) == 4
+        assert len(set(labels)) == 4
+
     def test_conclusive_rate(self, tmp_path):
         path = tmp_path / "conc.csv"
         run_cli(["conclusive", "--a2", "0.8", "--trials", "20000", "--seed", "7", "--out", str(path)])
@@ -286,7 +293,8 @@ class TestExitCodes:
         assert run_cli(["quasi", "--p", "0.5", "--epsilon", "2.0"]) == 2
 
     def test_unnormalized_phi_exits_two(self):
-        assert run_cli(["naive", "--a2", "0.8", "--alpha-re", "1", "--beta-re", "1"]) == 2
+        for command in ("naive", "quasi", "steer", "povm-check"):
+            assert run_cli([command, "--alpha-re", "1", "--beta-re", "1"]) == 2
 
     def test_unwritable_path_exits_one(self, tmp_path):
         target = tmp_path / "missing_dir" / "out.csv"
@@ -294,3 +302,16 @@ class TestExitCodes:
 
     def test_success_exit_zero(self):
         assert run_cli(["quasi", "--p", "0.5", "--n", "4", "--out", "-"]) == 0
+
+
+class TestParser:
+    def test_built_once(self):
+        assert cli.build_parser() is cli.build_parser()
+
+    def test_calls_share_no_values(self, tmp_path):
+        first, second = tmp_path / "n.csv", tmp_path / "eps.csv"
+        assert run_cli(["quasi", "--n", "4", "--out", str(first)]) == 0
+        assert run_cli(["quasi", "--epsilon", "0.1", "--out", str(second)]) == 0
+        assert float(read_csv(str(first))[0]["n"]) == 4.0
+        assert float(read_csv(str(second))[0]["epsilon"]) == 0.1
+        assert cli.build_parser().parse_args(["quasi", "--epsilon", "0.1"]).n is None

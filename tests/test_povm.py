@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from teleportsim import povm as pv
+from teleportsim.linalg import ATOL
 from teleportsim.states import (
     DensityMatrix,
     SchmidtPair,
@@ -240,6 +241,13 @@ class TestMeasure:
         assert pv.measure(p, rho, rng_draw=0.2501).label == "1"
         assert pv.measure(p, rho, rng_draw=0.999).label == "1"
 
+    def test_inverse_cdf_array_matches_scalar_draws(self):
+        probs = np.array([0.08, 0.0, 0.4, 0.32])  # unnormalized, one impossible outcome
+        draws = np.random.default_rng(5).random(1000)
+        idx = pv.inverse_cdf(probs, draws)
+        assert idx.tolist() == [int(pv.inverse_cdf(probs, d)) for d in draws]
+        assert set(idx.tolist()) == {0, 2, 3}
+
     def test_rejects_bad_draw(self):
         p = pv.projective((qubit(1, 0), qubit(0, 1)), ("0", "1"))
         with pytest.raises(ValueError):
@@ -265,10 +273,9 @@ class TestPovmValidation:
 
     def test_builders_satisfy_invariants(self):
         rng = np.random.default_rng(53)
-        for _ in range(10):
-            alpha, beta = random_unit_pair(rng)
-            p = pv.teleportation_povm(alpha, beta)
-            assert pv.is_valid_povm(p.elements)
+        built = [pv.teleportation_povm(*random_unit_pair(rng)) for _ in range(10)]
         for a2 in np.linspace(0.5, 1.0, 6):
-            p = pv.discrimination_povm(SchmidtPair.from_a_squared(a2))
-            assert pv.is_valid_povm(p.elements)
+            built.append(pv.discrimination_povm(SchmidtPair.from_a_squared(a2)))
+        for p in built:
+            assert pv.completeness_residual(p.elements) <= ATOL
+            assert pv.min_eigenvalue(p.elements) >= -ATOL

@@ -1,17 +1,17 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from teleportsim import protocols as pr
 from teleportsim.linalg import is_unitary, kron, max_abs
 from teleportsim.states import (
     BELL_LABELS,
-    PureState,
     SchmidtPair,
     bell_state,
     fidelity,
     haar_random_qubit,
     mixed_resource,
-    partially_entangled,
     qubit,
 )
 
@@ -145,46 +145,27 @@ class TestNaivePartialTeleport:
 
 
 class TestTwoStepBell:
-    def test_stage_one_probabilities_over_singlet(self):
-        rng = np.random.default_rng(101)
-        phi = haar_random_qubit(rng)
-        joint = PureState(kron(phi.amplitudes, bell_state("psi-").amplitudes))
-        result = pr.two_step_bell(joint)
-        for _, prob in result.stage_one:
-            assert abs(prob - 0.5) < 1e-12
+    """The Bell measurement split into a parity check on particles (1, 2)
+    and a second stage inside the parity subspace; ``conclusive_maps`` is
+    that split with unambiguous discrimination as the second stage."""
 
     def test_composition_reproduces_bell_statistics(self):
-        # oracle: single-shot Bell projector probabilities
-        rng = np.random.default_rng(103)
-        for _ in range(20):
-            phi = haar_random_qubit(rng)
-            a2 = rng.uniform(0.5, 1.0)
-            resource = partially_entangled(SchmidtPair.from_a_squared(a2))
-            joint = PureState(kron(phi.amplitudes, resource.amplitudes))
-            result = pr.two_step_bell(joint)
-            staged = {b.outcome: b.probability for b in result.branches}
-            for label in BELL_LABELS:
-                chi = bell_state(label).amplitudes
-                direct = float(
-                    np.linalg.norm(chi.conj() @ joint.amplitudes.reshape(4, 2)) ** 2
-                )
-                assert abs(staged[label] - direct) < 1e-10
-
-    def test_subspace_pure_input_is_deterministic(self):
-        joint = PureState(np.eye(8)[0])  # |000>, entirely in the even subspace
-        result = pr.two_step_bell(joint)
-        probs = dict(result.stage_one)
-        assert abs(probs["even"] - 1.0) < 1e-12
-        assert abs(probs["odd"]) < 1e-12
-
-    def test_stage_probabilities_marginalize(self):
-        rng = np.random.default_rng(107)
-        phi = haar_random_qubit(rng)
-        joint = PureState(kron(phi.amplitudes, partially_entangled(SchmidtPair.from_a_squared(0.8)).amplitudes))
-        result = pr.two_step_bell(joint)
-        for name, stage_prob in result.stage_one:
-            total = sum(b.probability for b in result.branches if b.subspace == name)
-            assert abs(total - stage_prob) < 1e-12
+        # At a = b the discrimination stage is the projective one, so the
+        # split must reproduce Bell-measurement teleportation over phi+.
+        split = pr.conclusive_maps(SchmidtPair(SQ2, SQ2))
+        bell = pr.teleport_maps(bell_state("phi+"), pr.correction_table("phi+"))
+        pairs = {
+            "even:conclusive+": "phi+",
+            "even:conclusive-": "phi-",
+            "odd:conclusive+": "psi+",
+            "odd:conclusive-": "psi-",
+        }
+        for label, m in zip(split.labels, split.maps):
+            if label in pairs:
+                expected = bell.maps[bell.labels.index(pairs[label])]
+                assert max_abs(m - expected) < 1e-15
+            else:
+                assert max_abs(m) == 0.0
 
 
 class TestConclusiveTeleport:
@@ -282,11 +263,10 @@ class TestBilocalFilter:
 
     def test_filter_params_validation(self):
         with pytest.raises(ValueError):
-            pr.FilterParams(n=4.0, strength=0.9)
+            pr.FilterParams(n=float("nan"))
         with pytest.raises(ValueError):
             pr.FilterParams.from_n(0.5)
-        fp = pr.FilterParams.from_strength(0.25)
-        assert abs(fp.n - 16.0) < 1e-12
+        assert pr.FilterParams.from_n(16).strength == 0.25
 
 
 class TestAverageFidelity:
@@ -373,6 +353,23 @@ class TestQuasiConclusive:
                 assert pr.max_teleport_fidelity(pr.p_prime_after_filter(p, n)) >= target
                 if n > 1:
                     assert pr.max_teleport_fidelity(pr.p_prime_after_filter(p, n - 1)) < target
+
+    @settings(max_examples=200, deadline=None)
+    @given(p=st.floats(0.01, 0.99), epsilon=st.floats(-9.0, -0.5).map(lambda e: 10.0**e))
+    @example(p=0.20786527963173337, epsilon=3.98589309185896e-07)
+    def test_reported_fidelity_meets_target(self, p, epsilon):
+        result = pr.quasi_conclusive_teleport(qubit(1, 0), p, epsilon)
+        assert result.average_fidelity >= 1.0 - epsilon
+
+    @settings(max_examples=200, deadline=None)
+    @given(p=st.floats(0.01, 0.99), epsilon=st.floats(-15.0, -0.5).map(lambda e: 10.0**e))
+    def test_planned_index_is_least_meeting_target(self, p, epsilon):
+        def meets(n):
+            return pr.max_teleport_fidelity(pr.p_prime_after_filter(p, n)) >= 1.0 - epsilon
+
+        n = pr.required_filter_index(p, epsilon)
+        assert meets(n)
+        assert n == 1 or not meets(n - 1)
 
     def test_unreachable_epsilon_rejected(self):
         with pytest.raises(ValueError):

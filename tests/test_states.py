@@ -107,9 +107,18 @@ class TestFidelity:
             f = fidelity(psi, chi.density())
             assert -1e-12 <= f <= 1 + 1e-12
 
+    def test_pure_state_matches_its_density(self):
+        rng = np.random.default_rng(29)
+        for _ in range(50):
+            psi = haar_random_state(2, rng)
+            chi = haar_random_state(2, rng)
+            assert abs(fidelity(psi, chi) - fidelity(psi, chi.density())) < 1e-15
+
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
             fidelity(qubit(1, 0), DensityMatrix(np.eye(4) / 4))
+        with pytest.raises(ValueError):
+            fidelity(qubit(1, 0), bell_state("phi+"))
 
 
 class TestMixedResource:

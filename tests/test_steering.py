@@ -13,6 +13,7 @@ from teleportsim.states import (
     SchmidtPair,
     bell_state,
     haar_random_state,
+    haar_random_unitary,
     partially_entangled,
     qubit,
 )
@@ -28,6 +29,15 @@ from teleportsim.steering import (
 def reduced_bob(shared: PureState) -> np.ndarray:
     rho = np.outer(shared.amplitudes, shared.amplitudes.conj())
     return partial_trace(rho, (2, shared.dim // 2), trace_out="A")
+
+
+def dense_bob(shared: PureState, element: np.ndarray) -> np.ndarray:
+    """Bob's unnormalized conditional state the long way:
+    Tr_A[(A (x) I) |psi><psi|] on the full joint operator."""
+    d_a = element.shape[0]
+    d_b = shared.dim // d_a
+    rho = np.outer(shared.amplitudes, shared.amplitudes.conj())
+    return partial_trace(np.kron(element, np.eye(d_b)) @ rho, (d_a, d_b), trace_out="A")
 
 
 class TestEnsembleDensity:
@@ -128,6 +138,19 @@ class TestSteer:
                 result = steer(shared, alice)
                 assert max_abs(result.realized_density() - reduced_bob(shared)) < 1e-9
                 assert abs(result.probabilities.sum() - 1.0) < 1e-10
+
+    def test_matches_dense_reference(self):
+        rng = np.random.default_rng(71)
+        for d_a, d_b in ((2, 2), (2, 3), (3, 2)):
+            for _ in range(10):
+                shared = haar_random_state(d_a * d_b, rng)
+                basis = haar_random_unitary(d_a, rng)
+                alice = projective([PureState(col) for col in basis.T], list("xyz"[:d_a]))
+                for branch, element in zip(steer(shared, alice).branches, alice.elements):
+                    ref = dense_bob(shared, element)
+                    assert abs(branch.probability - np.trace(ref).real) < 1e-12
+                    bob = branch.bob_state.amplitudes
+                    assert max_abs(branch.probability * np.outer(bob, bob.conj()) - ref) < 1e-12
 
     def test_zero_probability_branch_flagged(self):
         # a product shared state makes one rectilinear branch impossible
