@@ -48,6 +48,9 @@ MAX_SWEEP_POINTS = 10**4
 TELEPORT_CHUNK = 4096
 """Inputs the teleport command evaluates per batch; bounds its memory."""
 
+GRID_TOL = 1e-12
+"""How far a sweep value may miss its domain's bound or a grid point and count as on it."""
+
 
 class CliError(Exception):
     """Validation failure; maps to exit code 2."""
@@ -80,10 +83,9 @@ class RunConfig:
             if not values:
                 raise CliError(f"sweep over {name} is empty")
             lo, hi, inc_lo, inc_hi = _PARAM_DOMAINS[name]
-            tol = 1e-12
             for v in values:
-                above = v >= lo - tol if inc_lo else v > lo + tol
-                below = v <= hi + tol if inc_hi else v < hi - tol
+                above = v >= lo - GRID_TOL if inc_lo else v > lo + GRID_TOL
+                below = v <= hi + GRID_TOL if inc_hi else v < hi - GRID_TOL
                 if not (above and below):
                     raise CliError(f"{name}={v!r} outside its domain")
 
@@ -97,7 +99,7 @@ _PARAM_DOMAINS = {
 
 def parse_range(text: str) -> list[float]:
     """Parse a sweep: a single value or start:stop:step (both ends closed;
-    stop is included when it lies within 1e-12 of a step point), holding at
+    stop is included when it lies within GRID_TOL of a step point), holding at
     most MAX_SWEEP_POINTS values."""
     parts = text.split(":")
     try:
@@ -120,10 +122,10 @@ def parse_range(text: str) -> list[float]:
     if span >= MAX_SWEEP_POINTS:  # also catches a span that overflows to inf
         raise CliError(too_long)
     k_round = round(span)
-    if k_round >= 0 and abs(start + k_round * step - stop) <= 1e-12:
+    if k_round >= 0 and abs(start + k_round * step - stop) <= GRID_TOL:
         count = k_round
     else:
-        count = int(np.floor(span + 1e-12))
+        count = int(np.floor(span + GRID_TOL))
     if count >= MAX_SWEEP_POINTS:
         raise CliError(too_long)
     return [start + k * step for k in range(count + 1)]
@@ -279,17 +281,17 @@ def _run_quasi(config: RunConfig) -> tuple[list[dict], list[str]]:
                 "epsilon": config.epsilon,
                 "n": result.n,
                 "strength": result.filter_params.strength,
-                "p_prime": protocols.p_prime_after_filter(p, result.n),
-                "success_prob": protocols.filter_success_probability(p, result.n),
+                "p_prime": result.p_prime,
+                "success_prob": result.filter_success_prob,
                 "avg_fidelity": result.average_fidelity,
                 "fidelity_target": 1.0 - config.epsilon,
             })
         return rows, columns
     n = config.n if config.n is not None else 1.0
+    fp = protocols.FilterParams.from_n(n)
     columns = ["p", "n", "strength", "p_prime", "success_prob", "p_prime_sim",
                "success_prob_sim", "avg_fidelity", "max_fidelity_bound"]
     for p in config.sweep["p"]:
-        fp = protocols.FilterParams.from_n(n)
         post, success_sim = protocols.bilocal_filter(mixed_resource(p), fp)
         p_prime = protocols.p_prime_after_filter(p, n)
         rows.append({
@@ -498,10 +500,6 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
     epsilon = getattr(args, "epsilon", None)
     if n is not None and epsilon is not None:
         raise CliError("give either --n or --epsilon, not both")
-    if epsilon is not None and not 0.0 < epsilon < 1.0:
-        raise CliError("epsilon must lie in (0, 1)")
-    if n is not None and n < 1.0:
-        raise CliError("n must be >= 1")
 
     trials = args.trials if args.trials is not None else _DEFAULT_TRIALS.get(args.command, 1)
     return RunConfig(

@@ -15,7 +15,10 @@ from __future__ import annotations
 import numpy as np
 
 ATOL = 1e-9
-"""Default absolute tolerance for all validation checks."""
+"""Absolute tolerance of every validation check in the package."""
+
+PROB_FLOOR = 1e-12
+"""Outcomes less likely than this are impossible: no state, never a success."""
 
 
 def as_complex_matrix(m) -> np.ndarray:
@@ -73,45 +76,47 @@ def partial_trace(m, dims: tuple[int, int], trace_out: str = "A") -> np.ndarray:
     raise ValueError(f"trace_out must be 'A' or 'B', got {trace_out!r}")
 
 
-def is_hermitian(m, atol: float = ATOL) -> bool:
+def is_hermitian(m) -> bool:
     a = as_complex_matrix(m)
     if a.shape[0] != a.shape[1]:
         return False
-    return bool(np.max(np.abs(a - dagger(a))) <= atol)
+    return bool(np.max(np.abs(a - dagger(a))) <= ATOL)
 
 
-def hermitian_eigh(m, atol: float = ATOL) -> tuple[np.ndarray, np.ndarray]:
+def smallest_eigenvalue(m) -> float:
+    """Smallest eigenvalue of the Hermitian part (m + m^dag) / 2 of a square matrix."""
+    a = as_complex_matrix(m)
+    return float(np.linalg.eigvalsh((a + dagger(a)) / 2).min())
+
+
+def hermitian_eigh(m) -> tuple[np.ndarray, np.ndarray]:
     """Eigendecomposition of a Hermitian matrix.
 
     Returns (eigenvalues ascending, eigenvectors as columns).  The input is
     symmetrized before decomposition; inputs that are not Hermitian within
-    ``atol`` are rejected.
+    ``ATOL`` are rejected.
     """
     a = as_complex_matrix(m)
-    if not is_hermitian(a, atol):
+    if not is_hermitian(a):
         raise ValueError("matrix is not Hermitian within tolerance")
     w, v = np.linalg.eigh((a + dagger(a)) / 2)
     return w, v
 
 
-def is_psd(m, atol: float = ATOL) -> bool:
-    """True iff ``m`` is Hermitian within ``atol`` with eigenvalues >= -atol."""
-    a = as_complex_matrix(m)
-    if a.shape[0] != a.shape[1] or not is_hermitian(a, atol):
-        return False
-    w = np.linalg.eigvalsh((a + dagger(a)) / 2)
-    return bool(w.min() >= -atol)
+def is_psd(m) -> bool:
+    """True iff ``m`` is Hermitian within ``ATOL`` with eigenvalues >= -ATOL."""
+    return is_hermitian(m) and smallest_eigenvalue(m) >= -ATOL
 
 
-def sqrt_psd(m, atol: float = ATOL) -> np.ndarray:
+def sqrt_psd(m) -> np.ndarray:
     """Positive square root of a PSD Hermitian matrix.
 
-    Eigenvalues in [-atol, 0) are clamped to zero; anything below -atol is
+    Eigenvalues in [-ATOL, 0) are clamped to zero; anything below -ATOL is
     an error.  The result s satisfies s @ s == m entrywise to ~1e-8.
     """
-    w, v = hermitian_eigh(m, atol)
-    if w.min() < -atol:
-        raise ValueError(f"matrix has eigenvalue {w.min():.3e} below -{atol:.1e}")
+    w, v = hermitian_eigh(m)
+    if w.min() < -ATOL:
+        raise ValueError(f"matrix has eigenvalue {w.min():.3e} below -{ATOL:.1e}")
     w = np.clip(w, 0.0, None)
     s = (v * np.sqrt(w)) @ dagger(v)
     return (s + dagger(s)) / 2

@@ -14,19 +14,26 @@ import numpy as np
 
 from .linalg import (
     ATOL,
+    PROB_FLOOR,
     as_complex_matrix,
     dagger,
-    is_hermitian,
     is_psd,
     max_abs,
     readonly,
+    smallest_eigenvalue,
     sqrt_psd,
 )
-from .states import DensityMatrix, PureState, SchmidtPair
+from .states import DensityMatrix, PureState, SchmidtPair, qubit
 
 CONCLUSIVE_PLUS = "conclusive+"
 CONCLUSIVE_MINUS = "conclusive-"
 INCONCLUSIVE = "inconclusive"
+
+DEGENERATE_B = 1e-12
+"""Schmidt coefficient b below which (a, b) and (a, -b) are one state."""
+
+SINGULAR_VALUE_SLACK = 1e-12
+"""How far a filter operator's largest singular value may round above one."""
 
 
 def completeness_residual(elements: Sequence[np.ndarray]) -> float:
@@ -38,11 +45,7 @@ def completeness_residual(elements: Sequence[np.ndarray]) -> float:
 
 def min_eigenvalue(elements: Sequence[np.ndarray]) -> float:
     """Smallest eigenvalue across the Hermitian parts of all elements."""
-    vals = []
-    for e in elements:
-        m = as_complex_matrix(e)
-        vals.append(np.linalg.eigvalsh((m + dagger(m)) / 2).min())
-    return float(min(vals))
+    return min(smallest_eigenvalue(e) for e in elements)
 
 
 @dataclass(frozen=True)
@@ -60,7 +63,7 @@ class Povm:
         if any(m.shape != (dim, dim) for m in mats):
             raise ValueError("POVM elements must share one square dimension")
         for i, m in enumerate(mats):
-            if not is_psd(m, ATOL):
+            if not is_psd(m):
                 raise ValueError(f"POVM element {i} is not positive semidefinite")
         res = completeness_residual(mats)
         if res > ATOL:
@@ -89,9 +92,7 @@ class KrausSet:
         ops = tuple(readonly(as_complex_matrix(o)) for o in self.operators)
         if not ops:
             raise ValueError("Kraus set needs at least one operator")
-        dim = ops[0].shape[1]
-        total = sum(dagger(o) @ o for o in ops)
-        res = max_abs(total - np.eye(dim))
+        res = completeness_residual([dagger(o) @ o for o in ops])
         if res > ATOL:
             raise ValueError(f"Kraus operators are not complete (residual {res:.3e})")
         object.__setattr__(self, "operators", ops)
@@ -119,10 +120,7 @@ def teleportation_povm(alpha: complex, beta: complex) -> Povm:
     of the dilated measurement and leaves the remote qubit in
     (beta, -alpha), (alpha, beta), (alpha, -beta), (beta, alpha) respectively.
     """
-    alpha = complex(alpha)
-    beta = complex(beta)
-    if abs(abs(alpha) ** 2 + abs(beta) ** 2 - 1.0) > ATOL:
-        raise ValueError("parameters must satisfy |alpha|^2 + |beta|^2 = 1")
+    alpha, beta = qubit(alpha, beta).amplitudes
     aa = abs(alpha) ** 2
     bb = abs(beta) ** 2
     ba = beta * np.conj(alpha)  # off-diagonal of the first element
@@ -133,7 +131,7 @@ def teleportation_povm(alpha: complex, beta: complex) -> Povm:
     return Povm((a1, a2, a3, a4), ("phi+", "psi-", "psi+", "phi-"))
 
 
-def discrimination_povm(s: SchmidtPair, degenerate_atol: float = 1e-12) -> Povm:
+def discrimination_povm(s: SchmidtPair) -> Povm:
     """Unambiguous discrimination of (a, b) versus (a, -b), a >= b.
 
     Conclusive outcomes never misidentify the state; the inconclusive outcome
@@ -142,12 +140,12 @@ def discrimination_povm(s: SchmidtPair, degenerate_atol: float = 1e-12) -> Povm:
     identity; without it the set is complete only at a^2 = 1/2 while the
     stated success probability 1 - (a^2 - b^2) already presumes completeness.
 
-    For b below ``degenerate_atol`` the two states coincide up to phase and
+    For b below ``DEGENERATE_B`` the two states coincide up to phase and
     cannot be discriminated; a two-element always-inconclusive POVM is
     returned so sweeps over a in [1/sqrt(2), 1] terminate cleanly.
     """
     a, b = s.a, s.b
-    if b < degenerate_atol:
+    if b < DEGENERATE_B:
         return Povm(
             (np.diag([1.0, 0.0]).astype(complex), np.diag([0.0, 1.0]).astype(complex)),
             (f"{INCONCLUSIVE}_0", f"{INCONCLUSIVE}_1"),
@@ -163,22 +161,17 @@ def is_conclusive_label(label: str) -> bool:
     return label.startswith("conclusive")
 
 
-def _check_projective_set(projectors: Sequence[np.ndarray], atol: float = ATOL) -> list[np.ndarray]:
-    mats = [as_complex_matrix(p) for p in projectors]
-    dim = mats[0].shape[0]
-    if any(m.shape != (dim, dim) for m in mats):
-        raise ValueError("projectors must share one square dimension")
+def _check_projective_set(projectors: Sequence[np.ndarray]) -> tuple[np.ndarray, ...]:
+    # Povm checks shape, PSD and completeness.  Orthogonality is checked
+    # explicitly: it follows from the others only to about sqrt(ATOL).
+    mats = Povm(tuple(projectors), tuple(map(str, range(len(projectors))))).elements
     for i, m in enumerate(mats):
-        if not is_hermitian(m, atol):
-            raise ValueError(f"projector {i} is not Hermitian")
-        if max_abs(m @ m - m) > atol:
+        if max_abs(m @ m - m) > ATOL:
             raise ValueError(f"projector {i} is not idempotent")
     for i in range(len(mats)):
         for j in range(i + 1, len(mats)):
-            if max_abs(mats[i] @ mats[j]) > atol:
+            if max_abs(mats[i] @ mats[j]) > ATOL:
                 raise ValueError(f"projectors {i} and {j} are not orthogonal")
-    if max_abs(sum(mats) - np.eye(dim)) > atol:
-        raise ValueError("projector set is not complete")
     return mats
 
 
@@ -229,9 +222,9 @@ def filter_pair(v1) -> KrausSet:
     if v.shape[0] != v.shape[1]:
         raise ValueError("filter operator must be square")
     smax = float(np.linalg.svd(v, compute_uv=False).max())
-    if smax > 1.0 + 1e-12:
+    if smax > 1.0 + SINGULAR_VALUE_SLACK:
         raise ValueError(f"largest singular value {smax!r} exceeds 1")
-    v2 = sqrt_psd(np.eye(v.shape[0]) - v @ dagger(v), atol=1e-9)
+    v2 = sqrt_psd(np.eye(v.shape[0]) - v @ dagger(v))
     return KrausSet((v, v2))
 
 
@@ -256,12 +249,12 @@ def measure(p: Povm, rho: DensityMatrix, rng_draw: float) -> MeasurementOutcome:
     if p.dim != rho.dim:
         raise ValueError("POVM and state dimensions do not match")
     probs = np.array([float(np.trace(a @ rho.matrix).real) for a in p.elements])
-    if probs.sum() < 1e-12:
+    if probs.sum() < PROB_FLOOR:
         raise RuntimeError("all outcome probabilities vanish for a valid POVM and state")
     idx = int(inverse_cdf(probs, rng_draw))
     prob = float(probs[idx])
     post = None
-    if prob > 1e-12:
+    if prob > PROB_FLOOR:
         m = sqrt_psd(p.elements[idx])
         post = DensityMatrix(m @ rho.matrix @ dagger(m) / prob)
     return MeasurementOutcome(index=idx, label=p.labels[idx], probability=prob, post_state=post)

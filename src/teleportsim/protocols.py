@@ -24,7 +24,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .linalg import dagger, kron, readonly
+from .linalg import PROB_FLOOR, dagger, kron, readonly
 from .povm import discrimination_povm, inverse_cdf, is_conclusive_label
 from .states import (
     BELL_LABELS,
@@ -38,17 +38,21 @@ from .states import (
     partially_entangled,
 )
 
-MAX_FILTER_INDEX = 2**63 - 1
+MAX_FILTER_INDEX = 2**62
+"""Largest filter index.  It keeps n * n finite, and as a power of two it
+bounds an integer index and the same index as a float alike."""
 
-PROB_FLOOR = 1e-12
-"""Branches less likely than this are reported as impossible: probability
-and fidelity 0, and never a success."""
+SINGLET_FRACTION_SLACK = 1e-12
+"""How far a singlet fraction may round outside [0, 1]."""
+
+WRONG_OUTCOME_DEFECT = 1e-10
+"""Fidelity defect above which a sampled conclusive branch is a wrong outcome."""
 
 # The four recovery rotations; every correction table below draws from this set.
-_ROT_SWAP_NEG = np.array([[0, 1], [-1, 0]], dtype=complex)
-_ROT_SWAP = np.array([[0, 1], [1, 0]], dtype=complex)
-_ROT_FLIP = np.array([[-1, 0], [0, 1]], dtype=complex)
-_ROT_ID = np.array([[1, 0], [0, 1]], dtype=complex)
+_ROT_SWAP_NEG = readonly(np.array([[0, 1], [-1, 0]], dtype=complex))
+_ROT_SWAP = readonly(np.array([[0, 1], [1, 0]], dtype=complex))
+_ROT_FLIP = readonly(np.array([[-1, 0], [0, 1]], dtype=complex))
+_ROT_ID = readonly(np.array([[1, 0], [0, 1]], dtype=complex))
 
 # Outcome -> rotation restoring the input, keyed by the Bell state of the
 # shared resource.  Rotations restore the input up to a global sign.
@@ -65,16 +69,14 @@ def correction_table(resource: str = "psi-") -> dict[str, np.ndarray]:
     Bell resource state."""
     if resource not in _CORRECTIONS:
         raise ValueError(f"unknown resource label {resource!r}; expected one of {BELL_LABELS}")
-    return {k: readonly(v.copy()) for k, v in _CORRECTIONS[resource].items()}
+    return dict(_CORRECTIONS[resource])
 
 
-def bell_projectors() -> dict[str, np.ndarray]:
-    """The four rank-one Bell projectors on two qubits."""
-    out = {}
-    for label in BELL_LABELS:
-        v = bell_state(label).amplitudes
-        out[label] = readonly(np.outer(v, v.conj()))
-    return out
+# The four rank-one Bell projectors on particles (1, 2), in BELL_LABELS order.
+_BELL_PROJECTORS = readonly(np.array([
+    np.outer(bell_state(label).amplitudes, bell_state(label).amplitudes.conj())
+    for label in BELL_LABELS
+]))
 
 
 @dataclass(frozen=True)
@@ -164,9 +166,8 @@ def teleport_maps(
     if resource.dim != 4:
         raise ValueError("resource must be a two-qubit state")
     corr = correction_table("psi-") if corrections is None else corrections
-    projectors = bell_projectors()
     maps = _transfer_maps(
-        [projectors[label] for label in BELL_LABELS],
+        _BELL_PROJECTORS,
         _resource_matrix(resource),
         [corr[label] for label in BELL_LABELS],
     )
@@ -180,8 +181,8 @@ class FilterParams:
     n: float
 
     def __post_init__(self):
-        if not (np.isfinite(self.n) and self.n >= 1.0):
-            raise ValueError(f"filter index must satisfy n >= 1, got {self.n!r}")
+        if not 1.0 <= self.n <= MAX_FILTER_INDEX:
+            raise ValueError(f"filter index must lie in [1, {MAX_FILTER_INDEX}], got {self.n!r}")
 
     @classmethod
     def from_n(cls, n: float) -> "FilterParams":
@@ -309,7 +310,7 @@ def bilocal_filter(rho: DensityMatrix, fp: FilterParams) -> tuple[DensityMatrix,
     k = kron(v, v)
     unnorm = k @ rho.matrix @ dagger(k)
     prob = float(np.trace(unnorm).real)
-    if prob < 1e-15:
+    if not prob > 0.0:
         raise ValueError("filter success probability vanished")
     return DensityMatrix(unnorm / prob), prob
 
@@ -317,7 +318,7 @@ def bilocal_filter(rho: DensityMatrix, fp: FilterParams) -> tuple[DensityMatrix,
 def max_teleport_fidelity(f: float) -> float:
     """Best average teleportation fidelity (2F + 1) / 3 attainable from a
     resource with singlet fraction F."""
-    if not -1e-12 <= f <= 1.0 + 1e-12:
+    if not -SINGLET_FRACTION_SLACK <= f <= 1.0 + SINGLET_FRACTION_SLACK:
         raise ValueError(f"singlet fraction must lie in [0, 1], got {f!r}")
     return (2.0 * f + 1.0) / 3.0
 
@@ -345,7 +346,7 @@ def required_filter_index(p: float, epsilon: float) -> int:
         raise ValueError(f"epsilon must lie in (0, 1), got {epsilon!r}")
     too_far = f"epsilon={epsilon!r} requires a filter index beyond {MAX_FILTER_INDEX}"
     f_req = 1.0 - 1.5 * epsilon
-    if f_req >= 1.0:  # epsilon below float resolution
+    if 1.0 - epsilon >= 1.0:  # the target rounds to 1, which no finite n reaches
         raise ValueError(too_far)
     n_real = f_req * (1.0 - p) / (p * (1.0 - f_req))
     if not np.isfinite(n_real) or n_real > MAX_FILTER_INDEX:
@@ -385,23 +386,21 @@ def quasi_conclusive_teleport(phi: PureState, p: float, epsilon: float) -> Quasi
     """Filtered teleportation over the singlet/|00> mixture.
 
     Picks the minimal filter index n whose post-filter singlet fraction
-    yields average fidelity at least 1 - epsilon, applies the bilocal filter
-    (two-way confirmation assumed free), then teleports over the filtered
-    resource.  Higher target fidelity costs success probability: the filter
-    success probability decreases toward zero as epsilon shrinks.
+    yields average fidelity at least 1 - epsilon, filters (two-way
+    confirmation assumed free, closed forms throughout), then teleports over
+    the filtered resource, the same mixture at p'.  Higher target fidelity
+    costs success probability: the filter success probability decreases
+    toward zero as epsilon shrinks.
     """
     n = required_filter_index(p, epsilon)
-    fp = FilterParams.from_n(n)
-    post, success = bilocal_filter(mixed_resource(p), fp)
-    p_prime = fidelity(bell_state("psi-"), post)
-    records = standard_teleport(phi, post)
+    p_prime = p_prime_after_filter(p, n)
     return QuasiConclusiveResult(
-        filter_params=fp,
+        filter_params=FilterParams.from_n(n),
         n=n,
         p_prime=p_prime,
-        filter_success_prob=success,
-        average_fidelity=max_teleport_fidelity(p_prime_after_filter(p, n)),
-        records=tuple(records),
+        filter_success_prob=filter_success_probability(p, n),
+        average_fidelity=max_teleport_fidelity(p_prime),
+        records=tuple(standard_teleport(phi, mixed_resource(p_prime))),
     )
 
 
@@ -429,7 +428,7 @@ def conclusive_monte_carlo(
     Inputs are drawn Haar-uniformly once per block and evaluated in one
     batch; outcomes are sampled by inverse CDF over the branch
     probabilities, block by block.  A wrong outcome is a sampled conclusive
-    branch whose post-correction fidelity falls below 1 - 1e-10.
+    branch whose post-correction fidelity falls below 1 - WRONG_OUTCOME_DEFECT.
     """
     if trials < 1:
         raise ValueError("trials must be positive")
@@ -450,7 +449,7 @@ def conclusive_monte_carlo(
         hit = maps.success & (counts > 0)
         if hit.any():
             successes += int(counts[hit].sum())
-            wrong += int(counts[hit & (fid < 1.0 - 1e-10)].sum())
+            wrong += int(counts[hit & (fid < 1.0 - WRONG_OUTCOME_DEFECT)].sum())
             min_fid = min(min_fid, float(fid[hit].min()))
     return ConclusiveMonteCarlo(
         trials=trials,

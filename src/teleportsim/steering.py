@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import ATOL
+from .linalg import ATOL, PROB_FLOOR
 from .povm import Povm, projective
 from .states import (
     MINUS,
@@ -26,6 +26,12 @@ from .states import (
     qubit,
 )
 
+NEGATIVE_WEIGHT_SLACK = 1e-12
+"""How far below zero an ``Ensemble`` member probability may round."""
+
+RANK_ONE_SLACK = 1e-8
+"""Largest 1 - lambda_max of a conditional state that ``steer`` accepts as pure."""
+
 
 @dataclass(frozen=True)
 class Ensemble:
@@ -37,7 +43,7 @@ class Ensemble:
         members = tuple((float(p), psi) for p, psi in self.members)
         if not members:
             raise ValueError("ensemble needs at least one member")
-        if any(p < -1e-12 for p, _ in members):
+        if any(p < -NEGATIVE_WEIGHT_SLACK for p, _ in members):
             raise ValueError("ensemble probabilities must be non-negative")
         total = sum(p for p, _ in members)
         if abs(total - 1.0) > ATOL:
@@ -111,7 +117,7 @@ class SteeringResult:
         return rho
 
 
-def steer(shared: PureState, alice_povm: Povm, atol: float = ATOL) -> SteeringResult:
+def steer(shared: PureState, alice_povm: Povm) -> SteeringResult:
     """Ensemble created on Bob's side by Alice measuring her half.
 
     Branch i occurs with probability Tr[(A_i (x) I) |psi><psi|]; Bob's
@@ -129,16 +135,22 @@ def steer(shared: PureState, alice_povm: Povm, atol: float = ATOL) -> SteeringRe
     for label, element in zip(alice_povm.labels, alice_povm.elements):
         unnorm = psi.T @ element.T @ psi.conj()  # Tr_A[(A (x) I) |psi><psi|]
         prob = float(np.trace(unnorm).real)
-        if prob < 1e-12:
+        if prob < PROB_FLOOR:
             branches.append(SteeringBranch(label=label, probability=0.0, bob_state=None))
             continue
         rho_b = unnorm / prob
         w, v = np.linalg.eigh((rho_b + rho_b.conj().T) / 2)
-        if 1.0 - w[-1] > 1e-8:
+        if 1.0 - w[-1] > RANK_ONE_SLACK:
             raise ValueError("POVM element of rank > 1 leaves Bob in a mixed conditional state")
         bob = PureState(v[:, -1] / np.linalg.norm(v[:, -1])).canonical()
         branches.append(SteeringBranch(label=label, probability=prob, bob_state=bob))
     return SteeringResult(tuple(branches))
+
+
+_B92_BASES = {
+    "diagonal": projective((PLUS, MINUS), ("+", "-")),
+    "rectilinear": projective((ZERO, ONE), ("0", "1")),
+}
 
 
 def b92_generation(s: SchmidtPair, basis: str = "diagonal") -> SteeringResult:
@@ -150,11 +162,6 @@ def b92_generation(s: SchmidtPair, basis: str = "diagonal") -> SteeringResult:
     alternative reading; it yields the orthogonal pair |0>, |1> with
     probabilities a^2 and b^2 instead.
     """
-    shared = partially_entangled(s)
-    if basis == "diagonal":
-        alice = projective((PLUS, MINUS), ("+", "-"))
-    elif basis == "rectilinear":
-        alice = projective((ZERO, ONE), ("0", "1"))
-    else:
+    if basis not in _B92_BASES:
         raise ValueError(f"basis must be 'diagonal' or 'rectilinear', got {basis!r}")
-    return steer(shared, alice)
+    return steer(partially_entangled(s), _B92_BASES[basis])

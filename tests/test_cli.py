@@ -167,6 +167,15 @@ class TestCommands:
         assert int(row["n"]) == 66
         assert float(row["avg_fidelity"]) >= 0.99
 
+    def test_quasi_strong_filter_plan(self, tmp_path):
+        # the planned filter succeeds with probability 1.5e-17; every column is a closed form
+        path = tmp_path / "quasi_eps.csv"
+        argv = ["quasi", "--p", "0.01", "--epsilon", "1e-13", "--out", str(path)]
+        assert run_cli(argv) == 0
+        row = read_csv(str(path))[0]
+        assert int(row["n"]) == 659063360103000
+        assert float(row["avg_fidelity"]) >= float(row["fidelity_target"])
+
     def test_quasi_rejects_both_modes(self, capsys):
         assert run_cli(["quasi", "--p", "0.5", "--n", "4", "--epsilon", "0.1"]) == 2
 
@@ -291,6 +300,11 @@ class TestExitCodes:
 
     def test_bad_epsilon_exits_two(self):
         assert run_cli(["quasi", "--p", "0.5", "--epsilon", "2.0"]) == 2
+
+    def test_filter_index_bound(self):
+        assert run_cli(["quasi", "--p", "0.5", "--n", "0.5"]) == 2
+        assert run_cli(["quasi", "--p", "0.5", "--n", "1e19"]) == 2
+        assert run_cli(["quasi", "--p", "0.5", "--n", "1e17"]) == 0
 
     def test_unnormalized_phi_exits_two(self):
         for command in ("naive", "quasi", "steer", "povm-check"):

@@ -35,6 +35,12 @@ class TestCorrectionTable:
         with pytest.raises(ValueError):
             pr.correction_table("w-state")
 
+    def test_shared_tables_cannot_be_changed(self):
+        table = pr.correction_table("psi-")
+        assert not any(u.flags.writeable for u in table.values())
+        table["psi-"] = np.zeros((2, 2))
+        np.testing.assert_array_equal(pr.correction_table("psi-")["psi-"], np.eye(2))
+
 
 class TestStandardTeleport:
     def test_computational_input_over_singlet(self):
@@ -266,7 +272,25 @@ class TestBilocalFilter:
             pr.FilterParams(n=float("nan"))
         with pytest.raises(ValueError):
             pr.FilterParams.from_n(0.5)
+        with pytest.raises(ValueError):
+            pr.FilterParams.from_n(pr.MAX_FILTER_INDEX + 1.0e6)
+        assert pr.FilterParams.from_n(pr.MAX_FILTER_INDEX).n == pr.MAX_FILTER_INDEX
         assert pr.FilterParams.from_n(16).strength == 0.25
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        p=st.floats(1e-3, 1 - 1e-3),
+        n=st.floats(0.0, np.log10(pr.MAX_FILTER_INDEX)).map(
+            lambda e: min(10.0**e, pr.MAX_FILTER_INDEX)
+        ),
+    )
+    @example(p=0.5, n=1e17)
+    def test_dense_filter_matches_closed_forms(self, p, n):
+        # no representable success probability is rejected, however strong the filter
+        post, prob = pr.bilocal_filter(mixed_resource(p), pr.FilterParams.from_n(n))
+        expected = pr.filter_success_probability(p, n)
+        assert abs(prob - expected) <= 1e-12 * expected
+        assert abs(fidelity(bell_state("psi-"), post) - pr.p_prime_after_filter(p, n)) <= 1e-12
 
 
 class TestAverageFidelity:
@@ -355,8 +379,9 @@ class TestQuasiConclusive:
                     assert pr.max_teleport_fidelity(pr.p_prime_after_filter(p, n - 1)) < target
 
     @settings(max_examples=200, deadline=None)
-    @given(p=st.floats(0.01, 0.99), epsilon=st.floats(-9.0, -0.5).map(lambda e: 10.0**e))
+    @given(p=st.floats(0.01, 0.99), epsilon=st.floats(-15.0, -0.5).map(lambda e: 10.0**e))
     @example(p=0.20786527963173337, epsilon=3.98589309185896e-07)
+    @example(p=0.01, epsilon=1e-13)  # a filter that succeeds with probability 1.5e-17
     def test_reported_fidelity_meets_target(self, p, epsilon):
         result = pr.quasi_conclusive_teleport(qubit(1, 0), p, epsilon)
         assert result.average_fidelity >= 1.0 - epsilon
@@ -372,8 +397,9 @@ class TestQuasiConclusive:
         assert n == 1 or not meets(n - 1)
 
     def test_unreachable_epsilon_rejected(self):
-        with pytest.raises(ValueError):
-            pr.required_filter_index(0.5, 1e-18)
+        for epsilon in (1e-18, 5e-17):  # 1 - 5e-17 rounds to 1
+            with pytest.raises(ValueError):
+                pr.required_filter_index(0.5, epsilon)
 
     def test_record_structure(self):
         phi = qubit(0.6, 0.8)

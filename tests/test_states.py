@@ -39,6 +39,11 @@ class TestBellStates:
         with pytest.raises(ValueError):
             bell_state("sigma+")
 
+    def test_shared_and_read_only(self):
+        assert bell_state("psi-") is bell_state("psi-")
+        with pytest.raises(ValueError):
+            bell_state("psi-").amplitudes[1] = 1.0
+
 
 class TestPartiallyEntangled:
     def test_maximal_is_phi_plus(self):
