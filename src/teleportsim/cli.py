@@ -23,7 +23,7 @@ import numpy as np
 
 from . import povm as povm_mod
 from . import protocols, steering
-from .linalg import ATOL, max_abs, partial_trace
+from .linalg import ATOL, max_abs
 from .states import (
     PureState,
     SchmidtPair,
@@ -31,7 +31,6 @@ from .states import (
     fidelity,
     haar_random_amplitudes,
     mixed_resource,
-    partially_entangled,
     qubit,
 )
 
@@ -336,8 +335,7 @@ def _run_steer(config: RunConfig) -> tuple[list[dict], list[str]]:
         for a2 in config.sweep["a2"]:
             s = SchmidtPair.from_a_squared(a2)
             result = steering.b92_generation(s, basis=config.basis)
-            v = partially_entangled(s).amplitudes
-            reduced = partial_trace(np.outer(v, v.conj()), (2, 2), trace_out="A")
+            reduced = np.diag([s.a * s.a, s.b * s.b])  # Bob's half of a|00> + b|11>
             residual = max_abs(result.realized_density() - reduced)
             states = [b.bob_state for b in result.branches if b.bob_state is not None]
             overlap = abs(states[0].overlap(states[1])) if len(states) == 2 else 1.0

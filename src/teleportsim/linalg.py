@@ -89,44 +89,9 @@ def smallest_eigenvalue(m) -> float:
     return float(np.linalg.eigvalsh((a + dagger(a)) / 2).min())
 
 
-def hermitian_eigh(m) -> tuple[np.ndarray, np.ndarray]:
-    """Eigendecomposition of a Hermitian matrix.
-
-    Returns (eigenvalues ascending, eigenvectors as columns).  The input is
-    symmetrized before decomposition; inputs that are not Hermitian within
-    ``ATOL`` are rejected.
-    """
-    a = as_complex_matrix(m)
-    if not is_hermitian(a):
-        raise ValueError("matrix is not Hermitian within tolerance")
-    w, v = np.linalg.eigh((a + dagger(a)) / 2)
-    return w, v
-
-
 def is_psd(m) -> bool:
     """True iff ``m`` is Hermitian within ``ATOL`` with eigenvalues >= -ATOL."""
     return is_hermitian(m) and smallest_eigenvalue(m) >= -ATOL
-
-
-def sqrt_psd(m) -> np.ndarray:
-    """Positive square root of a PSD Hermitian matrix.
-
-    Eigenvalues in [-ATOL, 0) are clamped to zero; anything below -ATOL is
-    an error.  The result s satisfies s @ s == m entrywise to ~1e-8.
-    """
-    w, v = hermitian_eigh(m)
-    if w.min() < -ATOL:
-        raise ValueError(f"matrix has eigenvalue {w.min():.3e} below -{ATOL:.1e}")
-    w = np.clip(w, 0.0, None)
-    s = (v * np.sqrt(w)) @ dagger(v)
-    return (s + dagger(s)) / 2
-
-
-def is_unitary(m, atol: float = ATOL) -> bool:
-    a = as_complex_matrix(m)
-    if a.shape[0] != a.shape[1]:
-        return False
-    return bool(np.max(np.abs(dagger(a) @ a - np.eye(a.shape[0]))) <= atol)
 
 
 def max_abs(m) -> float:

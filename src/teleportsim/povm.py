@@ -1,8 +1,7 @@
 """Generalized measurements: POVM validation, builders, dilation, sampling.
 
 A POVM is stored as an ordered list of positive operators that sum to the
-identity.  Post-measurement states use the canonical Kraus choice
-M_i = sqrt(A_i), which is what makes conclusive protocols well defined.
+identity.
 """
 
 from __future__ import annotations
@@ -14,14 +13,11 @@ import numpy as np
 
 from .linalg import (
     ATOL,
-    PROB_FLOOR,
     as_complex_matrix,
-    dagger,
     is_psd,
     max_abs,
     readonly,
     smallest_eigenvalue,
-    sqrt_psd,
 )
 from .states import DensityMatrix, PureState, SchmidtPair, qubit
 
@@ -31,9 +27,6 @@ INCONCLUSIVE = "inconclusive"
 
 DEGENERATE_B = 1e-12
 """Schmidt coefficient b below which (a, b) and (a, -b) are one state."""
-
-SINGULAR_VALUE_SLACK = 1e-12
-"""How far a filter operator's largest singular value may round above one."""
 
 
 def completeness_residual(elements: Sequence[np.ndarray]) -> float:
@@ -80,30 +73,6 @@ class Povm:
 
     def __len__(self) -> int:
         return len(self.elements)
-
-
-@dataclass(frozen=True)
-class KrausSet:
-    """Measurement operators M_i with sum M_i^dag M_i = I."""
-
-    operators: tuple[np.ndarray, ...]
-
-    def __post_init__(self):
-        ops = tuple(readonly(as_complex_matrix(o)) for o in self.operators)
-        if not ops:
-            raise ValueError("Kraus set needs at least one operator")
-        res = completeness_residual([dagger(o) @ o for o in ops])
-        if res > ATOL:
-            raise ValueError(f"Kraus operators are not complete (residual {res:.3e})")
-        object.__setattr__(self, "operators", ops)
-
-
-@dataclass(frozen=True)
-class MeasurementOutcome:
-    index: int
-    label: str
-    probability: float
-    post_state: DensityMatrix | None
 
 
 def projective(states: Sequence[PureState], labels: Sequence[str]) -> Povm:
@@ -206,28 +175,6 @@ def induced_povm(
     return Povm(elems, tuple(labels))
 
 
-def kraus_from_povm(p: Povm) -> KrausSet:
-    """Canonical Kraus operators M_i = sqrt(A_i)."""
-    return KrausSet(tuple(sqrt_psd(a) for a in p.elements))
-
-
-def filter_pair(v1) -> KrausSet:
-    """Two-outcome local filter {V1, sqrt(I - V1 V1^dag)}.
-
-    Requires the largest singular value of V1 to be at most one.  For normal
-    V1 (in particular the diagonal filters used here) the pair satisfies the
-    Kraus completeness relation; non-normal V1 is rejected by KrausSet.
-    """
-    v = as_complex_matrix(v1)
-    if v.shape[0] != v.shape[1]:
-        raise ValueError("filter operator must be square")
-    smax = float(np.linalg.svd(v, compute_uv=False).max())
-    if smax > 1.0 + SINGULAR_VALUE_SLACK:
-        raise ValueError(f"largest singular value {smax!r} exceeds 1")
-    v2 = sqrt_psd(np.eye(v.shape[0]) - v @ dagger(v))
-    return KrausSet((v, v2))
-
-
 def inverse_cdf(probs: np.ndarray, draws: float | np.ndarray) -> np.ndarray:
     """Outcome index for each draw in [0, 1) over non-negative, unnormalized
     outcome probabilities: the first i with draw * total < probs[0] + ... +
@@ -235,26 +182,3 @@ def inverse_cdf(probs: np.ndarray, draws: float | np.ndarray) -> np.ndarray:
     total.  Takes a scalar or an array of draws and returns the same shape."""
     cum = np.cumsum(probs)
     return np.searchsorted(cum[:-1], draws * cum[-1], side="right")
-
-
-def measure(p: Povm, rho: DensityMatrix, rng_draw: float) -> MeasurementOutcome:
-    """Sample one outcome by inverse CDF over p_i = Tr(A_i rho).
-
-    ``rng_draw`` in [0, 1) is supplied by the caller, so identical inputs
-    always produce identical outcomes.  The post state is M rho M^dag / p
-    with M = sqrt(A); it is omitted for branches of negligible probability.
-    """
-    if not 0.0 <= rng_draw < 1.0:
-        raise ValueError(f"rng_draw must lie in [0, 1), got {rng_draw!r}")
-    if p.dim != rho.dim:
-        raise ValueError("POVM and state dimensions do not match")
-    probs = np.array([float(np.trace(a @ rho.matrix).real) for a in p.elements])
-    if probs.sum() < PROB_FLOOR:
-        raise RuntimeError("all outcome probabilities vanish for a valid POVM and state")
-    idx = int(inverse_cdf(probs, rng_draw))
-    prob = float(probs[idx])
-    post = None
-    if prob > PROB_FLOOR:
-        m = sqrt_psd(p.elements[idx])
-        post = DensityMatrix(m @ rho.matrix @ dagger(m) / prob)
-    return MeasurementOutcome(index=idx, label=p.labels[idx], probability=prob, post_state=post)

@@ -2,8 +2,8 @@
 
 Particle layout for a three-qubit run: particle 1 carries the unknown input
 and is the highest-order factor, particles 2 and 3 are the shared resource
-with 3 (Bob) lowest.  A joint measurement on particles (1, 2) therefore acts
-as ``kron(M, I_2)`` on the 8-dimensional state.
+with 3 (Bob) lowest.  Alice's joint measurement on particles (1, 2) enters
+only through its POVM elements.
 
 Every branch of a protocol (one outcome of Alice's measurement on particles
 (1, 2), then Bob's recovery rotation) acts on the input as one fixed linear
@@ -348,7 +348,7 @@ def required_filter_index(p: float, epsilon: float) -> int:
     f_req = 1.0 - 1.5 * epsilon
     if 1.0 - epsilon >= 1.0:  # the target rounds to 1, which no finite n reaches
         raise ValueError(too_far)
-    n_real = f_req * (1.0 - p) / (p * (1.0 - f_req))
+    n_real = f_req * (1.0 - p) / p / (1.0 - f_req)  # p * (1 - f_req) may underflow to 0
     if not np.isfinite(n_real) or n_real > MAX_FILTER_INDEX:
         raise ValueError(too_far)
 

@@ -20,6 +20,13 @@ from .linalg import (
 )
 
 
+def canonical_phase(v: np.ndarray) -> np.ndarray:
+    """Unit vector ``v`` times the global phase that makes its first
+    amplitude above ``ATOL`` real positive."""
+    lead = v[np.flatnonzero(np.abs(v) > ATOL)[0]]
+    return v * (np.conj(lead) / np.abs(lead))
+
+
 @dataclass(frozen=True)
 class PureState:
     """Normalized state vector. Equality of physical states is up to phase."""
@@ -49,12 +56,7 @@ class PureState:
 
     def canonical(self) -> "PureState":
         """Copy with the first non-negligible amplitude made real positive."""
-        v = self.amplitudes
-        idx = np.flatnonzero(np.abs(v) > ATOL)
-        if idx.size == 0:
-            return self
-        lead = v[idx[0]]
-        return PureState(v * (np.conj(lead) / np.abs(lead)))
+        return PureState(canonical_phase(self.amplitudes))
 
     def density(self) -> "DensityMatrix":
         return DensityMatrix(np.outer(self.amplitudes, self.amplitudes.conj()))

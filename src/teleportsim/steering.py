@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import ATOL, PROB_FLOOR
+from .linalg import ATOL, PROB_FLOOR, max_abs
 from .povm import Povm, projective
 from .states import (
     MINUS,
@@ -22,6 +22,7 @@ from .states import (
     DensityMatrix,
     PureState,
     SchmidtPair,
+    canonical_phase,
     partially_entangled,
     qubit,
 )
@@ -30,7 +31,9 @@ NEGATIVE_WEIGHT_SLACK = 1e-12
 """How far below zero an ``Ensemble`` member probability may round."""
 
 RANK_ONE_SLACK = 1e-8
-"""Largest 1 - lambda_max of a conditional state that ``steer`` accepts as pure."""
+"""Largest entry of rho - b b^dag that ``steer`` accepts as pure, where b is
+the column of the conditional state rho at its largest diagonal entry k,
+divided by sqrt(rho[k, k])."""
 
 
 @dataclass(frozen=True)
@@ -121,7 +124,8 @@ def steer(shared: PureState, alice_povm: Povm) -> SteeringResult:
     """Ensemble created on Bob's side by Alice measuring her half.
 
     Branch i occurs with probability Tr[(A_i (x) I) |psi><psi|]; Bob's
-    conditional state is pure for rank-one elements and is returned with a
+    conditional state is pure for rank-one elements, so its amplitudes are
+    read off one column of it, without an eigensolver, and returned with a
     canonical phase (first nonzero amplitude real positive).  The weighted
     branch projectors always reassemble Bob's reduced density matrix.
     """
@@ -139,10 +143,11 @@ def steer(shared: PureState, alice_povm: Povm) -> SteeringResult:
             branches.append(SteeringBranch(label=label, probability=0.0, bob_state=None))
             continue
         rho_b = unnorm / prob
-        w, v = np.linalg.eigh((rho_b + rho_b.conj().T) / 2)
-        if 1.0 - w[-1] > RANK_ONE_SLACK:
+        k = int(np.argmax(np.diagonal(rho_b).real))
+        b = rho_b[:, k] / np.sqrt(rho_b[k, k].real)  # rho_b = b b^dag when pure
+        if max_abs(rho_b - np.outer(b, b.conj())) > RANK_ONE_SLACK:
             raise ValueError("POVM element of rank > 1 leaves Bob in a mixed conditional state")
-        bob = PureState(v[:, -1] / np.linalg.norm(v[:, -1])).canonical()
+        bob = PureState(canonical_phase(b / np.linalg.norm(b)))
         branches.append(SteeringBranch(label=label, probability=prob, bob_state=bob))
     return SteeringResult(tuple(branches))
 

@@ -12,7 +12,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from teleportsim import protocols as pr
-from teleportsim.linalg import kron, partial_trace, sqrt_psd
+from teleportsim.linalg import kron, partial_trace
 from teleportsim.povm import discrimination_povm
 from teleportsim.states import (
     BELL_LABELS,
@@ -41,6 +41,12 @@ def qubits(draw):
 
 a_squared = st.floats(0.5, 1.0)
 mixing = st.floats(0.01, 0.99)
+
+
+def sqrt_psd(a):
+    """Positive square root of a PSD element, the Kraus operator realizing it."""
+    w, v = np.linalg.eigh(a)
+    return (v * np.sqrt(np.clip(w, 0.0, None))) @ v.conj().T
 
 
 def dense_branches(phi, resource, elements, corrections):

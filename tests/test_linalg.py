@@ -5,11 +5,6 @@ from teleportsim import linalg
 from teleportsim.states import bell_state
 
 
-def random_hermitian(dim, rng):
-    z = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-    return (z + z.conj().T) / 2
-
-
 def random_psd(dim, rng):
     z = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
     return z @ z.conj().T
@@ -101,41 +96,6 @@ class TestPartialTrace:
             linalg.partial_trace(np.eye(3), (2, 2), "A")
 
 
-class TestSqrtPsd:
-    def test_diagonal(self):
-        np.testing.assert_allclose(linalg.sqrt_psd(np.diag([4.0, 9.0])), np.diag([2.0, 3.0]), atol=1e-12)
-
-    def test_zero(self):
-        np.testing.assert_allclose(linalg.sqrt_psd(np.zeros((2, 2))), np.zeros((2, 2)), atol=1e-15)
-
-    def test_filter_complement(self):
-        for n in (2, 4, 16):
-            v1 = np.diag([1 / np.sqrt(n), 1.0])
-            got = linalg.sqrt_psd(np.eye(2) - v1 @ v1.conj().T)
-            np.testing.assert_allclose(got, np.diag([np.sqrt(1 - 1 / n), 0.0]), atol=1e-12)
-
-    def test_square_recovers_input(self):
-        rng = np.random.default_rng(7)
-        for dim in (2, 4, 8):
-            for _ in range(10):
-                m = random_psd(dim, rng)
-                s = linalg.sqrt_psd(m)
-                np.testing.assert_allclose(s @ s, m, atol=1e-8)
-                assert linalg.is_psd(s)
-
-    def test_rejects_non_hermitian(self):
-        with pytest.raises(ValueError):
-            linalg.sqrt_psd(np.array([[0, 1], [0, 0]], dtype=complex))
-
-    def test_rejects_negative_eigenvalue(self):
-        with pytest.raises(ValueError):
-            linalg.sqrt_psd(np.diag([1.0, -0.5]))
-
-    def test_clamps_tiny_negative(self):
-        got = linalg.sqrt_psd(np.diag([1.0, -1e-12]))
-        np.testing.assert_allclose(got, np.diag([1.0, 0.0]), atol=1e-6)
-
-
 class TestIsPsd:
     def test_povm_element(self):
         from teleportsim.povm import teleportation_povm
@@ -151,21 +111,6 @@ class TestIsPsd:
 
     def test_non_hermitian(self):
         assert not linalg.is_psd(np.array([[1, 1], [0, 1]], dtype=complex))
-
-
-class TestHermitianEigh:
-    def test_reconstruction(self):
-        rng = np.random.default_rng(13)
-        for dim in (2, 4):
-            for _ in range(25):
-                m = random_hermitian(dim, rng)
-                w, v = linalg.hermitian_eigh(m)
-                recon = (v * w) @ v.conj().T
-                np.testing.assert_allclose(recon, m, atol=1e-9)
-
-    def test_rejects_non_hermitian(self):
-        with pytest.raises(ValueError):
-            linalg.hermitian_eigh(np.array([[0, 1], [2, 0]], dtype=complex))
 
 
 def test_rejects_non_finite():

@@ -4,7 +4,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from teleportsim import protocols as pr
-from teleportsim.linalg import is_unitary, kron, max_abs
+from teleportsim.linalg import kron, max_abs
 from teleportsim.states import (
     BELL_LABELS,
     SchmidtPair,
@@ -29,7 +29,7 @@ class TestCorrectionTable:
     def test_all_entries_unitary(self):
         for resource in BELL_LABELS:
             for u in pr.correction_table(resource).values():
-                assert is_unitary(u, 1e-12)
+                assert max_abs(u.conj().T @ u - np.eye(2)) <= 1e-12
 
     def test_unknown_resource(self):
         with pytest.raises(ValueError):
@@ -208,6 +208,27 @@ class TestConclusiveTeleport:
             records = pr.conclusive_teleport(phi, s)
             success = sum(r.probability for r in records if r.success)
             assert abs(success - pr.conclusive_success_probability(s)) < 1e-12
+
+    def test_prob_floor_near_product_resource(self):
+        # PROB_FLOOR applies to each branch.  At a^2 = 1 - 1e-12 each of the
+        # four conclusive branches has probability 5e-13, so the reported
+        # success is exactly 0 where the closed form gives 2e-12; at
+        # a^2 = 1 - 1e-11 the two agree.
+        rng = np.random.default_rng(137)
+        phis = np.array([haar_random_qubit(rng).amplitudes for _ in range(20)])
+
+        def reported_and_closed(a2):
+            s = SchmidtPair.from_a_squared(a2)
+            maps = pr.conclusive_maps(s)
+            success = maps.evaluate(phis)[0][:, maps.success].sum(axis=1)
+            return success, pr.conclusive_success_probability(s)
+
+        success, closed = reported_and_closed(1 - 1e-12)
+        assert abs(closed - 2.0e-12) < 1e-16
+        assert np.all(success == 0.0)
+        success, closed = reported_and_closed(1 - 1e-11)
+        assert abs(closed - 2.0e-11) < 1e-16
+        np.testing.assert_allclose(success, closed, rtol=1e-12)
 
     def test_product_resource_never_succeeds(self):
         rng = np.random.default_rng(131)
@@ -397,9 +418,10 @@ class TestQuasiConclusive:
         assert n == 1 or not meets(n - 1)
 
     def test_unreachable_epsilon_rejected(self):
-        for epsilon in (1e-18, 5e-17):  # 1 - 5e-17 rounds to 1
-            with pytest.raises(ValueError):
-                pr.required_filter_index(0.5, epsilon)
+        # 1 - 5e-17 rounds to 1; at p = 5e-324, p * (1 - f_req) underflows to 0
+        for p, epsilon in ((0.5, 1e-18), (0.5, 5e-17), (1e-300, 0.01), (5e-324, 0.01)):
+            with pytest.raises(ValueError, match="requires a filter index beyond"):
+                pr.required_filter_index(p, epsilon)
 
     def test_record_structure(self):
         phi = qubit(0.6, 0.8)

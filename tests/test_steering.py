@@ -166,6 +166,19 @@ class TestSteer:
         with pytest.raises(ValueError):
             steer(bell_state("psi-"), full)
 
+    def test_rank_one_slack(self):
+        # Alice's element diag(1, eps) leaves Bob in diag(eps, 1) / (1 + eps),
+        # off pure by eps / (1 + eps) in the max-norm
+        def bob_after(eps):
+            alice = steering.Povm((np.diag([1.0, eps]), np.diag([0.0, 1.0 - eps])), ("a", "b"))
+            return steer(bell_state("psi-"), alice).branches[0].bob_state
+
+        bob = bob_after(5e-9)  # within the slack: accepted, and still normalized
+        assert bob.isclose_up_to_phase(ONE)
+        assert abs(np.linalg.norm(bob.amplitudes) - 1.0) < 1e-15
+        with pytest.raises(ValueError):
+            bob_after(2e-8)
+
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
             steer(qubit(1, 0), projective((ZERO, ONE), ("0", "1")))
