@@ -8,6 +8,9 @@ Conventions used throughout the package:
   always occupy the high-order positions.
 * All values are treated as immutable after construction; helpers return
   fresh arrays and mark them read-only where practical.
+* Values are coerced and checked for finite entries once, where they enter
+  (``as_complex_matrix`` in ``DensityMatrix`` and ``Povm``).  The
+  predicates below take the arrays as they are and do not coerce again.
 """
 
 from __future__ import annotations
@@ -77,7 +80,7 @@ def partial_trace(m, dims: tuple[int, int], trace_out: str = "A") -> np.ndarray:
 
 
 def is_hermitian(m) -> bool:
-    a = as_complex_matrix(m)
+    a = np.asarray(m)
     if a.shape[0] != a.shape[1]:
         return False
     return bool(np.max(np.abs(a - dagger(a))) <= ATOL)
@@ -85,7 +88,7 @@ def is_hermitian(m) -> bool:
 
 def smallest_eigenvalue(m) -> float:
     """Smallest eigenvalue of the Hermitian part (m + m^dag) / 2 of a square matrix."""
-    a = as_complex_matrix(m)
+    a = np.asarray(m)
     return float(np.linalg.eigvalsh((a + dagger(a)) / 2).min())
 
 

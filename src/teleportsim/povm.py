@@ -1,4 +1,4 @@
-"""Generalized measurements: POVM validation, builders, dilation, sampling.
+"""Generalized measurements: POVM validation, builders and dilation.
 
 A POVM is stored as an ordered list of positive operators that sum to the
 identity.
@@ -31,9 +31,8 @@ DEGENERATE_B = 1e-12
 
 def completeness_residual(elements: Sequence[np.ndarray]) -> float:
     """Entrywise max-norm of (sum of elements) - identity."""
-    mats = [as_complex_matrix(e) for e in elements]
-    dim = mats[0].shape[0]
-    return max_abs(sum(mats) - np.eye(dim))
+    mats = [np.asarray(e) for e in elements]
+    return max_abs(sum(mats) - np.eye(mats[0].shape[0]))
 
 
 def min_eigenvalue(elements: Sequence[np.ndarray]) -> float:
@@ -173,12 +172,3 @@ def induced_povm(
     if labels is None:
         labels = tuple(f"P{i}" for i in range(len(elems)))
     return Povm(elems, tuple(labels))
-
-
-def inverse_cdf(probs: np.ndarray, draws: float | np.ndarray) -> np.ndarray:
-    """Outcome index for each draw in [0, 1) over non-negative, unnormalized
-    outcome probabilities: the first i with draw * total < probs[0] + ... +
-    probs[i], or the last outcome where rounding lifts draw * total to the
-    total.  Takes a scalar or an array of draws and returns the same shape."""
-    cum = np.cumsum(probs)
-    return np.searchsorted(cum[:-1], draws * cum[-1], side="right")

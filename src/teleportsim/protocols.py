@@ -13,8 +13,11 @@ probabilities and fidelities for a whole batch of inputs at once; the
 per-input protocol functions are views over it.
 
 All protocol functions are pure; Monte Carlo helpers take an explicit seed
-and derive per-block generators from a counter-based (Philox) stream keyed
-by (seed, block index), so results are independent of execution order.
+and draw from counter-based (Philox) generators (``trial_rng``), so results
+are independent of execution order.  The CLI's ``teleport`` keys one
+generator by (seed, trial index) for each trial.  The conclusive sampler
+uses one generator per run, keyed by (seed, 0): it draws one Haar input per
+block, then all blocks' outcome counts in one multinomial draw.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ from typing import Mapping
 import numpy as np
 
 from .linalg import PROB_FLOOR, dagger, kron, readonly
-from .povm import discrimination_povm, inverse_cdf, is_conclusive_label
+from .povm import discrimination_povm, is_conclusive_label
 from .states import (
     BELL_LABELS,
     DensityMatrix,
@@ -47,6 +50,10 @@ SINGLET_FRACTION_SLACK = 1e-12
 
 WRONG_OUTCOME_DEFECT = 1e-10
 """Fidelity defect above which a sampled conclusive branch is a wrong outcome."""
+
+CONCLUSIVE_BLOCKS = 200
+"""Blocks of a conclusive Monte Carlo run; the trials of a block share one
+Haar-random input."""
 
 # The four recovery rotations; every correction table below draws from this set.
 _ROT_SWAP_NEG = readonly(np.array([[0, 1], [-1, 0]], dtype=complex))
@@ -420,41 +427,33 @@ class ConclusiveMonteCarlo:
     min_conclusive_fidelity: float
 
 
-def conclusive_monte_carlo(
-    s: SchmidtPair, trials: int, seed: int, blocks: int = 200
-) -> ConclusiveMonteCarlo:
+def conclusive_monte_carlo(s: SchmidtPair, trials: int, seed: int) -> ConclusiveMonteCarlo:
     """Sample the conclusive protocol ``trials`` times.
 
-    Inputs are drawn Haar-uniformly once per block and evaluated in one
-    batch; outcomes are sampled by inverse CDF over the branch
-    probabilities, block by block.  A wrong outcome is a sampled conclusive
-    branch whose post-correction fidelity falls below 1 - WRONG_OUTCOME_DEFECT.
+    The trials fall into ``CONCLUSIVE_BLOCKS`` blocks of near-equal size
+    (fewer when there are fewer trials), each with one Haar-random input.
+    One generator, ``trial_rng(seed, 0)``, draws all block inputs in one
+    batch and then every block's outcome counts in one multinomial draw
+    over its normalized branch probabilities.  Cost and memory grow with
+    the blocks, not with ``trials``.  A wrong outcome is a sampled
+    conclusive branch whose post-correction fidelity falls below
+    1 - WRONG_OUTCOME_DEFECT.
     """
     if trials < 1:
         raise ValueError("trials must be positive")
-    blocks = min(blocks, trials)
-    sizes = [trials // blocks + (1 if i < trials % blocks else 0) for i in range(blocks)]
+    blocks = min(CONCLUSIVE_BLOCKS, trials)
+    sizes = np.full(blocks, trials // blocks)
+    sizes[: trials % blocks] += 1
     maps = conclusive_maps(s)
-    rngs = [trial_rng(seed, b) for b in range(blocks)]
-    probs, fids = maps.evaluate(np.array([haar_random_amplitudes(2, rng) for rng in rngs]))
-    successes = 0
-    wrong = 0
-    min_fid = 1.0
-    for rng, size, prob, fid in zip(rngs, sizes, probs, fids):
-        # idx stays alive into the next block on purpose: freeing all of a
-        # block's arrays at once lets malloc return their pages to the OS,
-        # and faulting them back in costs about 15% on large runs.
-        idx = inverse_cdf(prob, rng.random(size))
-        counts = np.bincount(idx, minlength=len(maps.labels))
-        hit = maps.success & (counts > 0)
-        if hit.any():
-            successes += int(counts[hit].sum())
-            wrong += int(counts[hit & (fid < 1.0 - WRONG_OUTCOME_DEFECT)].sum())
-            min_fid = min(min_fid, float(fid[hit].min()))
+    rng = trial_rng(seed, 0)
+    probs, fids = maps.evaluate(haar_random_amplitudes(2, rng, (blocks,)))
+    counts = rng.multinomial(sizes, probs / probs.sum(axis=1, keepdims=True))
+    hit = maps.success & (counts > 0)
+    successes = int(counts[hit].sum())
     return ConclusiveMonteCarlo(
         trials=trials,
         successes=successes,
-        wrong_outcomes=wrong,
+        wrong_outcomes=int(counts[hit & (fids < 1.0 - WRONG_OUTCOME_DEFECT)].sum()),
         empirical_rate=successes / trials,
-        min_conclusive_fidelity=min_fid,
+        min_conclusive_fidelity=float(fids[hit].min(initial=1.0)),
     )

@@ -168,11 +168,20 @@ def mixed_resource(p: float) -> DensityMatrix:
     )
 
 
-def haar_random_amplitudes(dim: int, rng: np.random.Generator) -> np.ndarray:
-    """Normalized amplitudes of a Haar-distributed pure state, as a plain
-    array for batched evaluation."""
-    v = rng.normal(size=dim) + 1j * rng.normal(size=dim)
-    return v / np.linalg.norm(v)
+def haar_random_amplitudes(
+    dim: int, rng: np.random.Generator, shape: tuple[int, ...] = ()
+) -> np.ndarray:
+    """Normalized amplitudes of Haar-distributed pure states, as a plain
+    array of shape ``shape + (dim,)`` for batched evaluation.
+
+    All real parts are drawn before all imaginary parts.  Each norm is
+    sqrt(re . re + im . im), the sum ``np.linalg.norm`` forms for one
+    complex vector, so a qubit row equals ``v / np.linalg.norm(v)`` to the
+    bit and ``teleport``'s per-trial inputs keep their exact values.
+    """
+    g = rng.normal(size=(2, *shape, dim))
+    sq = np.vecdot(g, g)
+    return (g[0] + 1j * g[1]) / np.sqrt(sq[0] + sq[1])[..., None]
 
 
 def haar_random_state(dim: int, rng: np.random.Generator) -> PureState:

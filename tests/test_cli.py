@@ -249,16 +249,17 @@ class TestCommands:
         assert abs(float(row["mean_fidelity"]) - sum(fids) / len(fids)) < 1e-15
 
     def test_conclusive_counts_pinned(self, tmp_path):
-        # counts of the original per-trial sampler, which the vectorized one keeps
+        # counts of the batched sampler: one generator per sweep point, one
+        # Haar input per block, one multinomial draw over all blocks
         path = tmp_path / "conc.csv"
         argv = ["conclusive", "--a2", "0.8", "--trials", "100000", "--seed", "7"]
         assert run_cli(argv + ["--out", str(path)]) == 0
         row = read_csv(str(path))[0]
-        assert (int(row["successes"]), int(row["wrong_outcomes"])) == (39857, 0)
+        assert (int(row["successes"]), int(row["wrong_outcomes"])) == (40006, 0)
         argv = ["conclusive", "--a2", "0.5:1.0:0.25", "--trials", "2000", "--seed", "3"]
         assert run_cli(argv + ["--out", str(path)]) == 0
         rows = read_csv(str(path))
-        assert [int(r["successes"]) for r in rows] == [2000, 1010, 0]
+        assert [int(r["successes"]) for r in rows] == [2000, 938, 0]
         assert all(int(r["wrong_outcomes"]) == 0 for r in rows)
 
     def test_steer_b92(self, tmp_path):

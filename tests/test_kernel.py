@@ -3,7 +3,8 @@
 Every protocol is recomputed here the long way: the 8x8 joint density
 matrix, Alice's Kraus operator kron(sqrt(A), I) on particles (1, 2), a
 partial trace down to Bob and his correction.  The sampler is checked
-against a plain per-trial loop over the same records.
+against a per-block loop over the same records and generator, and against
+the binomial law of its success count.
 """
 
 import numpy as np
@@ -11,6 +12,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from teleportsim import cli
 from teleportsim import protocols as pr
 from teleportsim.linalg import kron, partial_trace
 from teleportsim.povm import discrimination_povm
@@ -20,7 +22,6 @@ from teleportsim.states import (
     PureState,
     SchmidtPair,
     bell_state,
-    haar_random_qubit,
     mixed_resource,
     partially_entangled,
 )
@@ -175,25 +176,26 @@ def test_entanglement_fidelity_is_singlet_fraction(seed):
     assert abs(pr.teleport_entanglement_fidelity(rho) - dense_entanglement_fidelity(rho)) <= TOL
 
 
-def loop_monte_carlo(s, trials, seed, blocks=200):
-    """Per-trial reference for the conclusive sampler: same draws, one
-    record lookup per sampled outcome."""
-    blocks = min(blocks, trials)
+def block_monte_carlo(s, trials, seed):
+    """Per-block reference for the conclusive sampler on the same generator:
+    the Haar inputs normalized one row at a time, one record lookup per
+    block and one ``multinomial`` call per block."""
+    blocks = min(pr.CONCLUSIVE_BLOCKS, trials)
     sizes = [trials // blocks + (1 if i < trials % blocks else 0) for i in range(blocks)]
+    rng = pr.trial_rng(seed, 0)
+    v = rng.normal(size=(blocks, 2)) + 1j * rng.normal(size=(blocks, 2))
     successes = wrong = 0
     min_fid = 1.0
-    for b, size in enumerate(sizes):
-        rng = pr.trial_rng(seed, b)
-        records = pr.conclusive_teleport(haar_random_qubit(rng), s)
-        cum = np.cumsum([r.probability for r in records])
-        idx = np.searchsorted(cum, rng.random(size) * cum[-1], side="right")
-        for k in np.minimum(idx, len(records) - 1):
-            r = records[k]
-            if r.success:
-                successes += 1
+    for size, row in zip(sizes, v):
+        records = pr.conclusive_teleport(PureState(row / np.linalg.norm(row)), s)
+        probs = np.array([r.probability for r in records])
+        counts = rng.multinomial(size, probs / probs.sum())
+        for r, k in zip(records, counts):
+            if r.success and k > 0:
+                successes += int(k)
                 min_fid = min(min_fid, r.fidelity)
                 if r.fidelity < 1.0 - 1e-10:
-                    wrong += 1
+                    wrong += int(k)
     return successes, wrong, min_fid
 
 
@@ -201,10 +203,36 @@ def loop_monte_carlo(s, trials, seed, blocks=200):
     "a2, trials, seed",
     [(0.8, 3000, 7), (0.5, 1000, 3), (0.75, 999, 11), (1.0, 500, 2), (0.62, 57, 5)],
 )
-def test_vectorized_sampler_equals_per_trial_loop(a2, trials, seed):
+def test_batched_sampler_equals_per_block_loop(a2, trials, seed):
     s = SchmidtPair.from_a_squared(a2)
     mc = pr.conclusive_monte_carlo(s, trials, seed)
-    assert (mc.successes, mc.wrong_outcomes, mc.min_conclusive_fidelity) == loop_monte_carlo(
+    assert mc.trials == trials
+    assert (mc.successes, mc.wrong_outcomes, mc.min_conclusive_fidelity) == block_monte_carlo(
         s, trials, seed
     )
 
+
+@pytest.mark.parametrize("a2, trials", [(0.75, 2000), (0.9, 777)])
+def test_successes_are_binomial_over_seeds(a2, trials):
+    # successes ~ Binomial(trials, p) whatever the block inputs, since every
+    # input's total success probability is p.  With N seeds the sample mean
+    # has standard error sqrt(var / N) and the sample variance about
+    # var * sqrt(2 / (N - 1)); both are held to 5 of them.
+    seeds = 1500
+    s = SchmidtPair.from_a_squared(a2)
+    p = pr.conclusive_success_probability(s)
+    counts = np.array([pr.conclusive_monte_carlo(s, trials, seed).successes
+                       for seed in range(seeds)])
+    mean, var = trials * p, trials * p * (1.0 - p)
+    assert abs(counts.mean() - mean) <= 5.0 * np.sqrt(var / seeds)
+    assert abs(counts.var(ddof=1) - var) <= 5.0 * var * np.sqrt(2.0 / (seeds - 1))
+
+
+def test_conclusive_row_does_not_depend_on_sweep(capsys):
+    argv = ["conclusive", "--trials", "2000", "--seed", "3", "--a2"]
+    assert cli.main(argv + ["0.5:1.0:0.25"]) == 0
+    sweep = capsys.readouterr().out.splitlines()
+    assert len(sweep) == 5
+    for a2, row in zip(("0.5", "0.75", "1.0"), sweep[2:]):
+        assert cli.main(argv + [a2]) == 0
+        assert capsys.readouterr().out.splitlines()[2] == row

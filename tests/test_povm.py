@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from teleportsim import linalg, states
 from teleportsim import povm as pv
 from teleportsim.linalg import ATOL
 from teleportsim.states import (
@@ -165,17 +166,6 @@ class TestMeasure:
         prob_inconclusive = np.trace(p.elements[2] @ rho.matrix).real
         assert abs(prob_inconclusive - 0.6) < 1e-12
 
-    def test_inverse_cdf_boundaries(self):
-        probs = np.array([0.25, 0.75])
-        assert [int(pv.inverse_cdf(probs, d)) for d in (0.0, 0.2499, 0.2501, 0.999)] == [0, 0, 1, 1]
-
-    def test_inverse_cdf_array_matches_scalar_draws(self):
-        probs = np.array([0.08, 0.0, 0.4, 0.32])  # unnormalized, one impossible outcome
-        draws = np.random.default_rng(5).random(1000)
-        idx = pv.inverse_cdf(probs, draws)
-        assert idx.tolist() == [int(pv.inverse_cdf(probs, d)) for d in draws]
-        assert set(idx.tolist()) == {0, 2, 3}
-
 
 class TestPovmValidation:
     def test_rejects_incomplete(self):
@@ -189,6 +179,25 @@ class TestPovmValidation:
     def test_rejects_duplicate_labels(self):
         with pytest.raises(ValueError):
             pv.Povm((np.diag([0.5, 0.5]), np.diag([0.5, 0.5])), ("x", "x"))
+
+    def test_coerces_each_element_once(self, monkeypatch):
+        calls = []
+        real = linalg.as_complex_matrix
+
+        def counting(m):
+            calls.append(1)
+            return real(m)
+
+        for module in (linalg, pv, states):
+            if hasattr(module, "as_complex_matrix"):
+                monkeypatch.setattr(module, "as_complex_matrix", counting)
+        p = pv.discrimination_povm(SchmidtPair.from_a_squared(0.8))
+        assert len(p) == 3
+        assert len(calls) <= 3
+
+    def test_rejects_non_finite_element(self):
+        with pytest.raises(ValueError, match="non-finite"):
+            pv.Povm((np.diag([np.nan, 0.0]), np.diag([0.0, 1.0])), ("a", "b"))
 
     def test_builders_satisfy_invariants(self):
         rng = np.random.default_rng(53)

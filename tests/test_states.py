@@ -8,6 +8,7 @@ from teleportsim.states import (
     SchmidtPair,
     bell_state,
     fidelity,
+    haar_random_amplitudes,
     haar_random_state,
     haar_random_unitary,
     mixed_resource,
@@ -177,6 +178,30 @@ class TestValidation:
         for _ in range(50):
             psi = haar_random_state(4, rng)
             assert abs(np.sum(np.abs(psi.amplitudes) ** 2) - 1.0) <= 1e-9
+
+
+class TestHaarAmplitudes:
+    def test_single_draw_normalized_as_one_vector(self):
+        # the per-trial draws of `teleport` keep their exact bytes
+        for seed in range(2000):
+            v_rng = np.random.default_rng(seed)
+            v = v_rng.normal(size=2) + 1j * v_rng.normal(size=2)
+            got = haar_random_amplitudes(2, np.random.default_rng(seed))
+            assert got.shape == (2,)
+            assert got.tobytes() == (v / np.linalg.norm(v)).tobytes()
+
+    def test_batch_rows_are_single_draws_normalized(self):
+        for dim, exact in ((2, True), (4, False)):
+            rng = np.random.default_rng(17)
+            v = rng.normal(size=(3, 5, dim)) + 1j * rng.normal(size=(3, 5, dim))
+            got = haar_random_amplitudes(dim, np.random.default_rng(17), (3, 5))
+            assert got.shape == (3, 5, dim)
+            for idx in np.ndindex(3, 5):
+                want = v[idx] / np.linalg.norm(v[idx])
+                if exact:
+                    assert got[idx].tobytes() == want.tobytes()
+                else:
+                    np.testing.assert_allclose(got[idx], want, rtol=0, atol=1e-15)
 
 
 class TestPhaseConventions:
