@@ -3,7 +3,9 @@
 Every command emits a machine-readable table (CSV or JSON) whose analytic
 columns are taken verbatim from the library's closed forms; the CLI adds no
 arithmetic of its own.  Identical configuration and seed produce
-byte-identical output.
+byte-identical output.  The parsed arguments are the whole configuration:
+each subcommand carries its own defaults and binds its runner, which
+returns the rows of its table.
 
 Exit codes: 0 success, 1 I/O error, 2 validation error.
 """
@@ -17,7 +19,6 @@ import io
 import json
 import re
 import sys
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -25,6 +26,7 @@ from . import povm as povm_mod
 from . import protocols, steering
 from .linalg import ATOL, max_abs
 from .states import (
+    PLUS,
     PureState,
     SchmidtPair,
     bell_state,
@@ -35,8 +37,6 @@ from .states import (
 )
 
 SCHEMA_COMMENT = "# schema=1"
-
-COMMANDS = ("teleport", "naive", "conclusive", "quasi", "steer", "povm-check")
 
 MAX_TRIALS = 10**8
 """Largest accepted --trials."""
@@ -53,40 +53,6 @@ GRID_TOL = 1e-12
 
 class CliError(Exception):
     """Validation failure; maps to exit code 2."""
-
-
-@dataclass
-class RunConfig:
-    command: str
-    seed: int = 0
-    trials: int = 1
-    sweep: dict[str, list[float]] = field(default_factory=dict)
-    alpha: complex | None = None
-    beta: complex | None = None
-    n: float | None = None
-    epsilon: float | None = None
-    basis: str = "diagonal"
-    output_format: str = "csv"
-    output_path: str = "-"
-
-    def __post_init__(self):
-        if self.command not in COMMANDS:
-            raise CliError(f"unknown command {self.command!r}")
-        if not 0 <= self.seed < 2**64:
-            raise CliError("seed must be an unsigned 64-bit integer")
-        if not 1 <= self.trials <= MAX_TRIALS:
-            raise CliError(f"trials must lie in [1, {MAX_TRIALS}]")
-        if self.output_format not in ("csv", "json"):
-            raise CliError("format must be csv or json")
-        for name, values in self.sweep.items():
-            if not values:
-                raise CliError(f"sweep over {name} is empty")
-            lo, hi, inc_lo, inc_hi = _PARAM_DOMAINS[name]
-            for v in values:
-                above = v >= lo - GRID_TOL if inc_lo else v > lo + GRID_TOL
-                below = v <= hi + GRID_TOL if inc_hi else v < hi - GRID_TOL
-                if not (above and below):
-                    raise CliError(f"{name}={v!r} outside its domain")
 
 
 # name -> (low, high, low inclusive, high inclusive)
@@ -128,6 +94,19 @@ def parse_range(text: str) -> list[float]:
     if count >= MAX_SWEEP_POINTS:
         raise CliError(too_long)
     return [start + k * step for k in range(count + 1)]
+
+
+def _sweep(args: argparse.Namespace, name: str) -> list[float]:
+    """The values of sweep flag ``name``, each checked against its domain
+    before any point is computed."""
+    values = parse_range(getattr(args, name))
+    lo, hi, inc_lo, inc_hi = _PARAM_DOMAINS[name]
+    for v in values:
+        above = v >= lo - GRID_TOL if inc_lo else v > lo + GRID_TOL
+        below = v <= hi + GRID_TOL if inc_hi else v < hi - GRID_TOL
+        if not (above and below):
+            raise CliError(f"{name}={v!r} outside its domain")
+    return values
 
 
 def _format_cell(value) -> str:
@@ -173,48 +152,48 @@ def emit(rows: list[dict], columns: list[str], output_format: str, path: str) ->
             fh.write(text)
 
 
-def _resolve_phi(config: RunConfig) -> PureState:
-    alpha = config.alpha if config.alpha is not None else complex(1 / np.sqrt(2))
-    beta = config.beta if config.beta is not None else complex(1 / np.sqrt(2))
-    return qubit(alpha, beta)
+_PHI_FLAGS = ("alpha_re", "alpha_im", "beta_re", "beta_im")
 
 
-def _run_teleport(config: RunConfig) -> tuple[list[dict], list[str]]:
+def _phi(args: argparse.Namespace) -> PureState:
+    """The input state (alpha, beta) from the alpha/beta flags, a missing
+    part counting as 0; (1, 1)/sqrt(2) when no flag is given."""
+    flags = [getattr(args, k) for k in _PHI_FLAGS]
+    if all(v is None for v in flags):
+        return PLUS
+    alpha_re, alpha_im, beta_re, beta_im = (v or 0.0 for v in flags)
+    return qubit(complex(alpha_re, alpha_im), complex(beta_re, beta_im))
+
+
+def _run_teleport(args: argparse.Namespace) -> list[dict]:
     maps = protocols.teleport_maps(bell_state("psi-"))
     max_dev = 0.0
     min_fid = 1.0
     fid_sum = 0.0
-    for start in range(0, config.trials, TELEPORT_CHUNK):
+    for start in range(0, args.trials, TELEPORT_CHUNK):
         phis = np.array([
-            haar_random_amplitudes(2, protocols.trial_rng(config.seed, t))
-            for t in range(start, min(start + TELEPORT_CHUNK, config.trials))
+            haar_random_amplitudes(2, protocols.trial_rng(args.seed, t))
+            for t in range(start, min(start + TELEPORT_CHUNK, args.trials))
         ])
         probs, fids = maps.evaluate(phis)
         max_dev = max(max_dev, float(np.abs(probs - 0.25).max()))
         min_fid = min(min_fid, float(fids.min()))
         fid_sum += float(fids.sum())
-    row = {
-        "seed": config.seed,
-        "trials": config.trials,
+    return [{
+        "seed": args.seed,
+        "trials": args.trials,
         "expected_branch_probability": 0.25,
         "max_prob_deviation": max_dev,
         "min_fidelity": min_fid,
-        "mean_fidelity": fid_sum / (len(maps.labels) * config.trials),
-    }
-    return [row], list(row.keys())
+        "mean_fidelity": fid_sum / (len(maps.labels) * args.trials),
+    }]
 
 
-_NAIVE_COLUMNS = [
-    "a2", "a", "b", "alpha_re", "alpha_im", "beta_re", "beta_im",
-    "phi_plus_prob", "phi_plus_fidelity", "phi_plus_prob_sim",
-    "phi_plus_fidelity_sim", "max_residual",
-]
-
-
-def _run_naive(config: RunConfig) -> tuple[list[dict], list[str]]:
-    phi = _resolve_phi(config)
+def _run_naive(args: argparse.Namespace) -> list[dict]:
+    a2s = _sweep(args, "a2")
+    phi = _phi(args)
     rows = []
-    for a2 in config.sweep["a2"]:
+    for a2 in a2s:
         s = SchmidtPair.from_a_squared(a2)
         prob = protocols.naive_phi_plus_probability(phi, s)
         fid = protocols.naive_phi_plus_fidelity(phi, s)
@@ -233,29 +212,22 @@ def _run_naive(config: RunConfig) -> tuple[list[dict], list[str]]:
             "phi_plus_fidelity_sim": rec.fidelity,
             "max_residual": max(abs(rec.probability - prob), abs(rec.fidelity - fid)),
         })
-    return rows, _NAIVE_COLUMNS
+    return rows
 
 
-_CONCLUSIVE_COLUMNS = [
-    "a2", "success_prob", "trials", "seed", "successes", "empirical_success_rate",
-    "abs_deviation", "three_sigma", "within_three_sigma", "wrong_outcomes",
-    "min_conclusive_fidelity",
-]
-
-
-def _run_conclusive(config: RunConfig) -> tuple[list[dict], list[str]]:
+def _run_conclusive(args: argparse.Namespace) -> list[dict]:
     rows = []
-    for a2 in config.sweep["a2"]:
+    for a2 in _sweep(args, "a2"):
         s = SchmidtPair.from_a_squared(a2)
         analytic = protocols.conclusive_success_probability(s)
-        mc = protocols.conclusive_monte_carlo(s, config.trials, config.seed)
-        sigma = float(np.sqrt(analytic * (1.0 - analytic) / config.trials))
+        mc = protocols.conclusive_monte_carlo(s, args.trials, args.seed)
+        sigma = float(np.sqrt(analytic * (1.0 - analytic) / args.trials))
         dev = abs(mc.empirical_rate - analytic)
         rows.append({
             "a2": a2,
             "success_prob": analytic,
-            "trials": config.trials,
-            "seed": config.seed,
+            "trials": args.trials,
+            "seed": args.seed,
             "successes": mc.successes,
             "empirical_success_rate": mc.empirical_rate,
             "abs_deviation": dev,
@@ -264,33 +236,32 @@ def _run_conclusive(config: RunConfig) -> tuple[list[dict], list[str]]:
             "wrong_outcomes": mc.wrong_outcomes,
             "min_conclusive_fidelity": mc.min_conclusive_fidelity,
         })
-    return rows, _CONCLUSIVE_COLUMNS
+    return rows
 
 
-def _run_quasi(config: RunConfig) -> tuple[list[dict], list[str]]:
-    phi = _resolve_phi(config)
+def _run_quasi(args: argparse.Namespace) -> list[dict]:
+    if args.n is not None and args.epsilon is not None:
+        raise CliError("give either --n or --epsilon, not both")
+    ps = _sweep(args, "p")
+    phi = _phi(args)
     rows = []
-    if config.epsilon is not None:
-        columns = ["p", "epsilon", "n", "strength", "p_prime", "success_prob",
-                   "avg_fidelity", "fidelity_target"]
-        for p in config.sweep["p"]:
-            result = protocols.quasi_conclusive_teleport(phi, p, config.epsilon)
+    if args.epsilon is not None:
+        for p in ps:
+            result = protocols.quasi_conclusive_teleport(phi, p, args.epsilon)
             rows.append({
                 "p": p,
-                "epsilon": config.epsilon,
+                "epsilon": args.epsilon,
                 "n": result.n,
                 "strength": result.filter_params.strength,
                 "p_prime": result.p_prime,
                 "success_prob": result.filter_success_prob,
                 "avg_fidelity": result.average_fidelity,
-                "fidelity_target": 1.0 - config.epsilon,
+                "fidelity_target": 1.0 - args.epsilon,
             })
-        return rows, columns
-    n = config.n if config.n is not None else 1.0
+        return rows
+    n = args.n if args.n is not None else 1.0
     fp = protocols.FilterParams.from_n(n)
-    columns = ["p", "n", "strength", "p_prime", "success_prob", "p_prime_sim",
-               "success_prob_sim", "avg_fidelity", "max_fidelity_bound"]
-    for p in config.sweep["p"]:
+    for p in ps:
         post, success_sim = protocols.bilocal_filter(mixed_resource(p), fp)
         p_prime = protocols.p_prime_after_filter(p, n)
         rows.append({
@@ -304,7 +275,7 @@ def _run_quasi(config: RunConfig) -> tuple[list[dict], list[str]]:
             "avg_fidelity": protocols.teleport_average_fidelity(post),
             "max_fidelity_bound": protocols.max_teleport_fidelity(p_prime),
         })
-    return rows, columns
+    return rows
 
 
 def _steer_rows(result: steering.SteeringResult, base: dict) -> list[dict]:
@@ -325,27 +296,26 @@ def _steer_rows(result: steering.SteeringResult, base: dict) -> list[dict]:
     return rows
 
 
-def _run_steer(config: RunConfig) -> tuple[list[dict], list[str]]:
-    if "a2" in config.sweep and (config.alpha is not None or config.beta is not None):
-        raise CliError("steer takes either --a2 or alpha/beta flags, not both")
-    if "a2" in config.sweep:
-        columns = ["mode", "a2", "basis", "branch", "label", "probability",
-                   "bob0_re", "bob0_im", "bob1_re", "bob1_im", "overlap", "hjw_residual"]
+def _run_steer(args: argparse.Namespace) -> list[dict]:
+    if args.a2 is not None:
+        a2s = _sweep(args, "a2")
+        if any(getattr(args, k) is not None for k in _PHI_FLAGS):
+            raise CliError("steer takes either --a2 or alpha/beta flags, not both")
         rows = []
-        for a2 in config.sweep["a2"]:
+        for a2 in a2s:
             s = SchmidtPair.from_a_squared(a2)
-            result = steering.b92_generation(s, basis=config.basis)
+            result = steering.b92_generation(s, basis=args.basis)
             reduced = np.diag([s.a * s.a, s.b * s.b])  # Bob's half of a|00> + b|11>
             residual = max_abs(result.realized_density() - reduced)
             states = [b.bob_state for b in result.branches if b.bob_state is not None]
             overlap = abs(states[0].overlap(states[1])) if len(states) == 2 else 1.0
-            branch_rows = _steer_rows(result, {"mode": "b92", "a2": a2, "basis": config.basis})
+            branch_rows = _steer_rows(result, {"mode": "b92", "a2": a2, "basis": args.basis})
             for row in branch_rows:
                 row["overlap"] = overlap
                 row["hjw_residual"] = residual
             rows.extend(branch_rows)
-        return rows, columns
-    phi = _resolve_phi(config)
+        return rows
+    phi = _phi(args)
     result = steering.steer(
         bell_state("psi-"),
         povm_mod.teleportation_povm(phi.amplitudes[0], phi.amplitudes[1]),
@@ -354,21 +324,16 @@ def _run_steer(config: RunConfig) -> tuple[list[dict], list[str]]:
     rows = _steer_rows(result, {"mode": "telepovm"})
     for row in rows:
         row["hjw_residual"] = residual
-    columns = ["mode", "branch", "label", "probability",
-               "bob0_re", "bob0_im", "bob1_re", "bob1_im", "hjw_residual"]
-    return rows, columns
+    return rows
 
 
-_POVM_CHECK_COLUMNS = ["povm", "dim", "n_elements", "completeness_residual",
-                       "min_eigenvalue", "psd_ok"]
-
-
-def _run_povm_check(config: RunConfig) -> tuple[list[dict], list[str]]:
+def _run_povm_check(args: argparse.Namespace) -> list[dict]:
+    a2s = _sweep(args, "a2") if args.a2 is not None else []
     rows = []
-    phi = _resolve_phi(config)
+    phi = _phi(args)
     alpha, beta = phi.amplitudes[0], phi.amplitudes[1]
     built = [("teleportation", povm_mod.teleportation_povm(alpha, beta))]
-    for a2 in config.sweep.get("a2", []):
+    for a2 in a2s:
         s = SchmidtPair.from_a_squared(a2)
         built.append((f"discrimination(a2={a2!r})", povm_mod.discrimination_povm(s)))
     for name, p in built:
@@ -381,46 +346,7 @@ def _run_povm_check(config: RunConfig) -> tuple[list[dict], list[str]]:
             "min_eigenvalue": min_eig,
             "psd_ok": min_eig >= -ATOL,
         })
-    return rows, _POVM_CHECK_COLUMNS
-
-
-_RUNNERS = {
-    "teleport": _run_teleport,
-    "naive": _run_naive,
-    "conclusive": _run_conclusive,
-    "quasi": _run_quasi,
-    "steer": _run_steer,
-    "povm-check": _run_povm_check,
-}
-
-
-def run(config: RunConfig) -> int:
-    """Execute one command and emit its table.  Returns the exit status."""
-    try:
-        rows, columns = _RUNNERS[config.command](config)
-    except (CliError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    try:
-        emit(rows, columns, config.output_format, config.output_path)
-    except OSError as exc:
-        print(f"I/O error: {exc}", file=sys.stderr)
-        return 1
-    return 0
-
-
-def _add_common(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--seed", type=int, default=0, help="64-bit unsigned RNG seed")
-    sub.add_argument("--trials", type=int, default=None, help="number of Monte Carlo trials")
-    sub.add_argument("--format", choices=("csv", "json"), default="csv")
-    sub.add_argument("--out", default="-", help="output path, or - for stdout")
-
-
-def _add_phi_flags(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--alpha-re", type=float, default=None)
-    sub.add_argument("--alpha-im", type=float, default=None)
-    sub.add_argument("--beta-re", type=float, default=None)
-    sub.add_argument("--beta-im", type=float, default=None)
+    return rows
 
 
 class _Parser(argparse.ArgumentParser):
@@ -435,6 +361,23 @@ class _Parser(argparse.ArgumentParser):
         self._negative_number_matcher = self._NEGATIVE_NUMBER
 
 
+def _add_command(subs, name: str, run, summary: str, trials: int = 1,
+                 phi: bool = True) -> argparse.ArgumentParser:
+    """Subcommand ``name`` with the flags every command shares (and the
+    alpha/beta flags if ``phi``), its own --trials default and its runner
+    bound as ``run``."""
+    p = subs.add_parser(name, help=summary)
+    p.set_defaults(run=run)
+    p.add_argument("--seed", type=int, default=0, help="64-bit unsigned RNG seed")
+    p.add_argument("--trials", type=int, default=trials, help="number of Monte Carlo trials")
+    p.add_argument("--format", choices=("csv", "json"), default="csv")
+    p.add_argument("--out", default="-", help="output path, or - for stdout")
+    if phi:
+        for flag in ("--alpha-re", "--alpha-im", "--beta-re", "--beta-im"):
+            p.add_argument(flag, type=float, default=None)
+    return p
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The command-line parser, built once per process and shared by every
@@ -445,86 +388,53 @@ def build_parser() -> argparse.ArgumentParser:
     )
     subs = parser.add_subparsers(dest="command", required=True)
 
-    p = subs.add_parser("teleport", help="standard teleportation over the singlet")
-    _add_common(p)
+    _add_command(subs, "teleport", _run_teleport, "standard teleportation over the singlet",
+                 trials=500, phi=False)
 
-    p = subs.add_parser("naive", help="plain Bell measurement over a partial resource")
-    _add_common(p)
-    _add_phi_flags(p)
+    p = _add_command(subs, "naive", _run_naive,
+                     "plain Bell measurement over a partial resource")
     p.add_argument("--a2", default="0.5:1.0:0.1", help="sweep of the larger Schmidt weight a^2")
 
-    p = subs.add_parser("conclusive", help="perfect conclusive teleportation")
-    _add_common(p)
+    p = _add_command(subs, "conclusive", _run_conclusive, "perfect conclusive teleportation",
+                     trials=10000, phi=False)
     p.add_argument("--a2", default="0.8")
 
-    p = subs.add_parser("quasi", help="bilocal filtering plus teleportation over a mixed resource")
-    _add_common(p)
-    _add_phi_flags(p)
+    p = _add_command(subs, "quasi", _run_quasi,
+                     "bilocal filtering plus teleportation over a mixed resource")
     p.add_argument("--p", default="0.5", help="sweep of the singlet weight of the resource")
     p.add_argument("--n", type=float, default=None, help="filter index (strength 1/sqrt(n))")
     p.add_argument("--epsilon", type=float, default=None, help="target infidelity for the planner")
 
-    p = subs.add_parser("steer", help="remote ensemble preparation")
-    _add_common(p)
-    _add_phi_flags(p)
+    p = _add_command(subs, "steer", _run_steer, "remote ensemble preparation")
     p.add_argument("--a2", default=None, help="use a partially entangled shared state")
     p.add_argument("--basis", choices=("diagonal", "rectilinear"), default="diagonal")
 
-    p = subs.add_parser("povm-check", help="validate the POVM builders")
-    _add_common(p)
-    _add_phi_flags(p)
+    p = _add_command(subs, "povm-check", _run_povm_check, "validate the POVM builders")
     p.add_argument("--a2", default=None, help="also check the discrimination POVM")
 
     return parser
 
 
-_DEFAULT_TRIALS = {"teleport": 500, "conclusive": 10000}
-
-
-def config_from_args(args: argparse.Namespace) -> RunConfig:
-    sweep: dict[str, list[float]] = {}
-    if getattr(args, "a2", None) is not None:
-        sweep["a2"] = parse_range(args.a2)
-    if getattr(args, "p", None) is not None:
-        sweep["p"] = parse_range(args.p)
-
-    alpha = beta = None
-    phi_flags = [getattr(args, k, None) for k in ("alpha_re", "alpha_im", "beta_re", "beta_im")]
-    if any(v is not None for v in phi_flags):
-        alpha = complex(phi_flags[0] or 0.0, phi_flags[1] or 0.0)
-        beta = complex(phi_flags[2] or 0.0, phi_flags[3] or 0.0)
-
-    n = getattr(args, "n", None)
-    epsilon = getattr(args, "epsilon", None)
-    if n is not None and epsilon is not None:
-        raise CliError("give either --n or --epsilon, not both")
-
-    trials = args.trials if args.trials is not None else _DEFAULT_TRIALS.get(args.command, 1)
-    return RunConfig(
-        command=args.command,
-        seed=args.seed,
-        trials=trials,
-        sweep=sweep,
-        alpha=alpha,
-        beta=beta,
-        n=n,
-        epsilon=epsilon,
-        basis=getattr(args, "basis", "diagonal"),
-        output_format=args.format,
-        output_path=args.out,
-    )
-
-
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    """Parse ``argv``, run its command and emit the table.  Returns the exit
+    status: 0 success, 1 I/O error, 2 validation error."""
+    args = build_parser().parse_args(argv)
     try:
-        config = config_from_args(args)
-    except CliError as exc:
+        if not 0 <= args.seed < 2**64:
+            raise CliError("seed must be an unsigned 64-bit integer")
+        if not 1 <= args.trials <= MAX_TRIALS:
+            raise CliError(f"trials must lie in [1, {MAX_TRIALS}]")
+        rows = args.run(args)
+    except (CliError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        print(parser.format_usage(), file=sys.stderr, end="")
         return 2
-    return run(config)
+    try:
+        # every row lists its columns in header order
+        emit(rows, list(rows[0]), args.format, args.out)
+    except OSError as exc:
+        print(f"I/O error: {exc}", file=sys.stderr)
+        return 1
+    return 0
 
 
 if __name__ == "__main__":

@@ -15,6 +15,8 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 ATOL = 1e-9
@@ -87,9 +89,17 @@ def is_hermitian(m) -> bool:
 
 
 def smallest_eigenvalue(m) -> float:
-    """Smallest eigenvalue of the Hermitian part (m + m^dag) / 2 of a square matrix."""
+    """Smallest eigenvalue of the Hermitian part h = (m + m^dag) / 2 of a square matrix.
+
+    For 2x2 input it is the closed form (h00 + h11)/2 - hypot((h00 - h11)/2, |h01|),
+    so the value does not depend on the LAPACK build; larger input goes to ``eigvalsh``.
+    """
     a = np.asarray(m)
-    return float(np.linalg.eigvalsh((a + dagger(a)) / 2).min())
+    h = (a + dagger(a)) / 2
+    if h.shape == (2, 2):
+        d0, d1 = float(h[0, 0].real), float(h[1, 1].real)
+        return (d0 + d1) / 2 - math.hypot((d0 - d1) / 2, abs(complex(h[0, 1])))
+    return float(np.linalg.eigvalsh(h).min())
 
 
 def is_psd(m) -> bool:

@@ -125,6 +125,9 @@ _BELL_STATES = {
     "psi-": PureState(np.array([0, 1, -1, 0]) / np.sqrt(2)),
 }
 
+_SINGLET_PROJECTOR = _BELL_STATES["psi-"].density().matrix
+_ZERO_ZERO_PROJECTOR = PureState(kron(ZERO.amplitudes, ZERO.amplitudes)).density().matrix
+
 
 def bell_state(label: str) -> PureState:
     """One of the four maximally entangled two-qubit basis states."""
@@ -161,11 +164,7 @@ def mixed_resource(p: float) -> DensityMatrix:
     """Mixture p |psi-><psi-| + (1-p) |00><00| with singlet fraction p."""
     if not 0.0 < p < 1.0:
         raise ValueError(f"mixing probability must lie in (0, 1), got {p!r}")
-    singlet = bell_state("psi-").amplitudes
-    zero2 = kron(ZERO.amplitudes, ZERO.amplitudes)
-    return DensityMatrix(
-        p * np.outer(singlet, singlet.conj()) + (1.0 - p) * np.outer(zero2, zero2.conj())
-    )
+    return DensityMatrix(p * _SINGLET_PROJECTOR + (1.0 - p) * _ZERO_ZERO_PROJECTOR)
 
 
 def haar_random_amplitudes(

@@ -1,6 +1,9 @@
 import csv
+import hashlib
 import io
 import json
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -288,7 +291,12 @@ class TestExitCodes:
     def test_trials_bound_exits_two(self):
         assert run_cli(["conclusive", "--trials", str(cli.MAX_TRIALS + 1)]) == 2
         assert run_cli(["teleport", "--trials", "0"]) == 2
-        assert cli.RunConfig("conclusive", trials=cli.MAX_TRIALS).trials == cli.MAX_TRIALS
+        # a conclusive run costs O(blocks), so the bound itself is cheap to run
+        assert run_cli(["conclusive", "--a2", "0.8", "--trials", str(cli.MAX_TRIALS)]) == 0
+
+    def test_seed_bound_exits_two(self):
+        assert run_cli(["teleport", "--seed", "-1"]) == 2
+        assert run_cli(["teleport", "--seed", str(2**64)]) == 2
 
     def test_oversized_sweep_exits_two(self):
         assert run_cli(["conclusive", "--a2", "0.5:1.0:1e-15"]) == 2
@@ -330,3 +338,36 @@ class TestParser:
         assert float(read_csv(str(first))[0]["n"]) == 4.0
         assert float(read_csv(str(second))[0]["epsilon"]) == 0.1
         assert cli.build_parser().parse_args(["quasi", "--epsilon", "0.1"]).n is None
+
+
+# sha256 of each README example's stdout.  A change that moves one of these
+# tables updates its hash here and names the move in CHANGES.md.
+README_STDOUT_SHA256 = {
+    "teleport --trials 500 --seed 1":
+        "706554f338d584e10fd00ad5722e4c309e939ed9ed40756a3518b169aef6fe68",
+    "naive --a2 0.5:1.0:0.1":
+        "a7e54125eca3a7ae5f250f6743985f5c753f6f92d188ede47bbac1357b065833",
+    "conclusive --a2 0.8 --trials 100000 --seed 7":
+        "53a6f8233796fc45cc5b0b19bc2a61fe51c6d9b46a1e40dbe459539f3d574a96",
+    "quasi --p 0.5 --n 4":
+        "4bac7aeef4728cf9280e663f72d964ac76de7d40ce0994ba929022c9841d3051",
+    "quasi --p 0.5 --epsilon 0.01":
+        "db61447073ab301e770ab7576ff7b649a73cc5a196d58b49b81e01bb3b217b4c",
+    "steer --a2 0.8":
+        "563f4dc0db80d0369c10740cd7c2bcef0f1b082baedbeb387393d232f1216032",
+    "steer --alpha-re 0.6 --beta-re 0.8":
+        "f0b4e6ea75610a34fbbf2b5198d357b8fe8c59cf022424b768fe9fe8314462bc",
+    "povm-check --alpha-re 1 --beta-re 0 --a2 0.8":
+        "20fd2c34c5d69119bf6009ec32e601940b09755164254cdf41e35c6599fa8d18",
+}
+
+README_EXAMPLES = re.findall(
+    r"^teleportsim (.+)$", (Path(__file__).parents[1] / "README.md").read_text(), re.M
+)
+
+
+@pytest.mark.parametrize("command", README_EXAMPLES)
+def test_readme_example_stdout_pinned(command, capsys):
+    assert cli.main(command.split()) == 0
+    digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+    assert digest == README_STDOUT_SHA256[command]

@@ -5,9 +5,6 @@ return another valid answer, as a different LAPACK build might: every
 eigenvector and singular-vector pair gets a random phase, and every entry
 is moved by a few ulps.  Each command below must then print the same bytes
 as with the plain solvers.
-
-The one remaining exception is ``povm-check``: its ``min_eigenvalue``
-column prints what ``eigvalsh`` returns, down to the last digit.
 """
 
 import contextlib
@@ -28,6 +25,8 @@ COMMANDS = [
     "steer --alpha-re 0.6 --beta-re 0.8",
     "steer --a2 0.5:1.0:0.01 --basis diagonal",
     "steer --a2 0.5:1.0:0.01 --basis rectilinear",
+    "povm-check --alpha-re 1 --beta-re 0 --a2 0.8",
+    "povm-check --a2 0.5:1.0:0.01",
 ]
 
 _eigh, _eigvalsh, _svd = np.linalg.eigh, np.linalg.eigvalsh, np.linalg.svd

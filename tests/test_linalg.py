@@ -113,6 +113,19 @@ class TestIsPsd:
         assert not linalg.is_psd(np.array([[1, 1], [0, 1]], dtype=complex))
 
 
+def test_smallest_eigenvalue_2x2_closed_form_matches_eigvalsh():
+    # the closed form and LAPACK round differently; both are backward stable,
+    # so they agree to a few ulps of the largest entry
+    rng = np.random.default_rng(5)
+    for scale in (1e-6, 1.0, 1e6):
+        for _ in range(500):
+            m = scale * (rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))
+            h = (m + m.conj().T) / 2
+            expected = np.linalg.eigvalsh(h).min()
+            assert abs(linalg.smallest_eigenvalue(m) - expected) <= 1e-14 * np.abs(h).max()
+    assert linalg.smallest_eigenvalue(np.diag([0.25, -0.5])) == -0.5
+
+
 def test_rejects_non_finite():
     with pytest.raises(ValueError):
         linalg.as_complex_matrix(np.array([[np.nan, 0], [0, 1]]))
