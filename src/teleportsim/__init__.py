@@ -6,127 +6,9 @@ discrimination, perfect conclusive teleportation over partially entangled
 pure states, and quasi-conclusive teleportation over a filtered mixed
 resource, together with the closed-form success probabilities and
 fidelities of each protocol.
+
+The API is the six modules ``linalg``, ``states``, ``povm``, ``steering``,
+``protocols`` and ``cli``; the package namespace re-exports none of them.
 """
 
-from .linalg import ATOL, is_psd, kron, partial_trace
-from .povm import (
-    Povm,
-    completeness_residual,
-    discrimination_povm,
-    induced_povm,
-    min_eigenvalue,
-    projective,
-    teleportation_povm,
-)
-from .protocols import (
-    ConclusiveMonteCarlo,
-    FilterParams,
-    ProtocolRecord,
-    QuasiConclusiveResult,
-    TransferMaps,
-    bilocal_filter,
-    conclusive_maps,
-    conclusive_monte_carlo,
-    conclusive_success_probability,
-    conclusive_teleport,
-    correction_table,
-    filter_success_probability,
-    max_teleport_fidelity,
-    naive_partial_teleport,
-    naive_phi_plus_fidelity,
-    naive_phi_plus_probability,
-    p_prime_after_filter,
-    quasi_conclusive_teleport,
-    required_filter_index,
-    standard_teleport,
-    teleport_average_fidelity,
-    teleport_entanglement_fidelity,
-    teleport_maps,
-    trial_rng,
-)
-from .states import (
-    BELL_LABELS,
-    DensityMatrix,
-    PureState,
-    SchmidtPair,
-    bell_state,
-    fidelity,
-    haar_random_amplitudes,
-    haar_random_qubit,
-    haar_random_state,
-    haar_random_unitary,
-    mixed_resource,
-    partially_entangled,
-    qubit,
-    schmidt_coeffs,
-)
-from .steering import (
-    Ensemble,
-    SteeringBranch,
-    SteeringResult,
-    b92_generation,
-    canonical_ensemble,
-    ensemble_density,
-    steer,
-)
-
 __version__ = "0.1.0"
-
-__all__ = [
-    "ATOL",
-    "BELL_LABELS",
-    "ConclusiveMonteCarlo",
-    "DensityMatrix",
-    "Ensemble",
-    "FilterParams",
-    "Povm",
-    "ProtocolRecord",
-    "PureState",
-    "QuasiConclusiveResult",
-    "SchmidtPair",
-    "SteeringBranch",
-    "SteeringResult",
-    "TransferMaps",
-    "b92_generation",
-    "bell_state",
-    "bilocal_filter",
-    "canonical_ensemble",
-    "completeness_residual",
-    "conclusive_maps",
-    "conclusive_monte_carlo",
-    "conclusive_success_probability",
-    "conclusive_teleport",
-    "correction_table",
-    "discrimination_povm",
-    "ensemble_density",
-    "fidelity",
-    "filter_success_probability",
-    "haar_random_amplitudes",
-    "haar_random_qubit",
-    "haar_random_state",
-    "haar_random_unitary",
-    "induced_povm",
-    "is_psd",
-    "kron",
-    "max_teleport_fidelity",
-    "min_eigenvalue",
-    "mixed_resource",
-    "naive_partial_teleport",
-    "naive_phi_plus_fidelity",
-    "naive_phi_plus_probability",
-    "p_prime_after_filter",
-    "partial_trace",
-    "partially_entangled",
-    "projective",
-    "qubit",
-    "quasi_conclusive_teleport",
-    "required_filter_index",
-    "schmidt_coeffs",
-    "standard_teleport",
-    "steer",
-    "teleport_average_fidelity",
-    "teleport_entanglement_fidelity",
-    "teleport_maps",
-    "teleportation_povm",
-    "trial_rng",
-]

@@ -98,14 +98,16 @@ def parse_range(text: str) -> list[float]:
 
 def _sweep(args: argparse.Namespace, name: str) -> list[float]:
     """The values of sweep flag ``name``, each checked against its domain
-    before any point is computed."""
-    values = parse_range(getattr(args, name))
+    before any point is computed.  A value within GRID_TOL outside a closed
+    bound becomes the bound."""
     lo, hi, inc_lo, inc_hi = _PARAM_DOMAINS[name]
-    for v in values:
+    values = []
+    for v in parse_range(getattr(args, name)):
         above = v >= lo - GRID_TOL if inc_lo else v > lo + GRID_TOL
         below = v <= hi + GRID_TOL if inc_hi else v < hi - GRID_TOL
         if not (above and below):
             raise CliError(f"{name}={v!r} outside its domain")
+        values.append(min(max(v, lo), hi))  # moves only values past a closed bound
     return values
 
 
@@ -210,7 +212,8 @@ def _run_naive(args: argparse.Namespace) -> list[dict]:
             "phi_plus_fidelity": fid,
             "phi_plus_prob_sim": rec.probability,
             "phi_plus_fidelity_sim": rec.fidelity,
-            "max_residual": max(abs(rec.probability - prob), abs(rec.fidelity - fid)),
+            # np.maximum keeps a nan, which Python's max would drop
+            "max_residual": float(np.maximum(abs(rec.probability - prob), abs(rec.fidelity - fid))),
         })
     return rows
 
@@ -361,15 +364,16 @@ class _Parser(argparse.ArgumentParser):
         self._negative_number_matcher = self._NEGATIVE_NUMBER
 
 
-def _add_command(subs, name: str, run, summary: str, trials: int = 1,
+def _add_command(subs, name: str, run, summary: str, trials: int | None = None,
                  phi: bool = True) -> argparse.ArgumentParser:
-    """Subcommand ``name`` with the flags every command shares (and the
-    alpha/beta flags if ``phi``), its own --trials default and its runner
-    bound as ``run``."""
+    """Subcommand ``name`` with the flags every command shares, --seed and
+    --trials (defaulting to ``trials``) if it samples, the alpha/beta flags
+    if ``phi``, and its runner bound as ``run``."""
     p = subs.add_parser(name, help=summary)
     p.set_defaults(run=run)
-    p.add_argument("--seed", type=int, default=0, help="64-bit unsigned RNG seed")
-    p.add_argument("--trials", type=int, default=trials, help="number of Monte Carlo trials")
+    if trials is not None:
+        p.add_argument("--seed", type=int, default=0, help="64-bit unsigned RNG seed")
+        p.add_argument("--trials", type=int, default=trials, help="number of Monte Carlo trials")
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.add_argument("--out", default="-", help="output path, or - for stdout")
     if phi:
@@ -420,9 +424,9 @@ def main(argv: list[str] | None = None) -> int:
     status: 0 success, 1 I/O error, 2 validation error."""
     args = build_parser().parse_args(argv)
     try:
-        if not 0 <= args.seed < 2**64:
+        if "seed" in args and not 0 <= args.seed < 2**64:
             raise CliError("seed must be an unsigned 64-bit integer")
-        if not 1 <= args.trials <= MAX_TRIALS:
+        if "trials" in args and not 1 <= args.trials <= MAX_TRIALS:
             raise CliError(f"trials must lie in [1, {MAX_TRIALS}]")
         rows = args.run(args)
     except (CliError, ValueError) as exc:

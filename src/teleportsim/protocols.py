@@ -223,9 +223,14 @@ def naive_phi_plus_probability(phi: PureState, s: SchmidtPair) -> float:
 
 
 def naive_phi_plus_fidelity(phi: PureState, s: SchmidtPair) -> float:
-    """Closed-form output fidelity of the phi+ branch of the same protocol."""
+    """Closed-form output fidelity of the phi+ branch of the same protocol;
+    0 when the branch is impossible (probability below PROB_FLOOR), as in
+    ``TransferMaps.evaluate``."""
     aa, bb = abs(phi.amplitudes[0]) ** 2, abs(phi.amplitudes[1]) ** 2
-    return (aa * s.a + bb * s.b) ** 2 / (aa * s.a**2 + bb * s.b**2)
+    weight = aa * s.a**2 + bb * s.b**2  # twice the branch probability
+    if weight / 2.0 < PROB_FLOOR:
+        return 0.0
+    return (aa * s.a + bb * s.b) ** 2 / weight
 
 
 def naive_partial_teleport(phi: PureState, s: SchmidtPair) -> list[ProtocolRecord]:

@@ -54,10 +54,6 @@ class PureState:
         """True iff the two states agree up to a global phase."""
         return abs(abs(self.overlap(other)) - 1.0) <= ATOL
 
-    def canonical(self) -> "PureState":
-        """Copy with the first non-negligible amplitude made real positive."""
-        return PureState(canonical_phase(self.amplitudes))
-
     def density(self) -> "DensityMatrix":
         return DensityMatrix(np.outer(self.amplitudes, self.amplitudes.conj()))
 

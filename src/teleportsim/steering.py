@@ -1,4 +1,4 @@
-"""Ensembles and steering: remote preparation of state ensembles.
+"""Steering: remote preparation of state ensembles.
 
 A measurement on Alice's half of a shared pure state selects which ensemble
 realizes Bob's (unchanged) reduced density matrix.  Branch order always
@@ -12,86 +12,24 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import ATOL, PROB_FLOOR, max_abs
-from .povm import Povm, projective
+from .linalg import PROB_FLOOR, max_abs
+from .povm import Povm, projective, teleportation_povm
 from .states import (
     MINUS,
     ONE,
     PLUS,
     ZERO,
-    DensityMatrix,
     PureState,
     SchmidtPair,
+    bell_state,
     canonical_phase,
     partially_entangled,
-    qubit,
 )
-
-NEGATIVE_WEIGHT_SLACK = 1e-12
-"""How far below zero an ``Ensemble`` member probability may round."""
 
 RANK_ONE_SLACK = 1e-8
 """Largest entry of rho - b b^dag that ``steer`` accepts as pure, where b is
 the column of the conditional state rho at its largest diagonal entry k,
 divided by sqrt(rho[k, k])."""
-
-
-@dataclass(frozen=True)
-class Ensemble:
-    """Weighted pure states realizing a density matrix."""
-
-    members: tuple[tuple[float, PureState], ...]
-
-    def __post_init__(self):
-        members = tuple((float(p), psi) for p, psi in self.members)
-        if not members:
-            raise ValueError("ensemble needs at least one member")
-        if any(p < -NEGATIVE_WEIGHT_SLACK for p, _ in members):
-            raise ValueError("ensemble probabilities must be non-negative")
-        total = sum(p for p, _ in members)
-        if abs(total - 1.0) > ATOL:
-            raise ValueError(f"ensemble probabilities sum to {total!r}, expected 1")
-        dim = members[0][1].dim
-        if any(psi.dim != dim for _, psi in members):
-            raise ValueError("ensemble states must share one dimension")
-        object.__setattr__(self, "members", members)
-
-
-def ensemble_density(e: Ensemble) -> DensityMatrix:
-    """Density matrix sum_i p_i |psi_i><psi_i| of an ensemble."""
-    dim = e.members[0][1].dim
-    rho = np.zeros((dim, dim), dtype=complex)
-    for p, psi in e.members:
-        rho += p * np.outer(psi.amplitudes, psi.amplitudes.conj())
-    return DensityMatrix(rho)
-
-
-def canonical_ensemble(name: str, alpha: complex | None = None, beta: complex | None = None) -> Ensemble:
-    """The four reference ensembles of the maximally mixed qubit.
-
-    E1: computational basis, probabilities 1/2 each.
-    E2: diagonal basis, probabilities 1/2 each.
-    E3: union of E1 and E2, probabilities 1/4 each.
-    E4: (alpha, beta), (alpha, -beta), (beta, alpha), (beta, -alpha),
-        probabilities 1/4 each; requires unit-norm (alpha, beta).
-    """
-    if name == "E1":
-        return Ensemble(((0.5, ZERO), (0.5, ONE)))
-    if name == "E2":
-        return Ensemble(((0.5, PLUS), (0.5, MINUS)))
-    if name == "E3":
-        return Ensemble(((0.25, ZERO), (0.25, ONE), (0.25, PLUS), (0.25, MINUS)))
-    if name == "E4":
-        if alpha is None or beta is None:
-            raise ValueError("E4 requires alpha and beta")
-        states = (
-            qubit(alpha, beta),
-            qubit(alpha, -beta),
-            qubit(beta, alpha),
-            qubit(beta, -alpha),
-        )
-        return Ensemble(tuple((0.25, s) for s in states))
-    raise ValueError(f"unknown ensemble {name!r}; expected E1..E4")
 
 
 @dataclass(frozen=True)
@@ -157,9 +95,45 @@ _B92_BASES = {
     "rectilinear": projective((ZERO, ONE), ("0", "1")),
 }
 
+# Alice's measurements that steer the singlet into the reference ensembles
+# E1 to E3; E4's depends on its parameters.
+_REFERENCE_MEASUREMENTS = {
+    "E1": _B92_BASES["rectilinear"],
+    "E2": _B92_BASES["diagonal"],
+    "E3": Povm(
+        tuple(0.5 * e for basis in ("rectilinear", "diagonal") for e in _B92_BASES[basis].elements),
+        ("0", "1", "+", "-"),
+    ),
+}
+
+
+def canonical_ensemble(
+    name: str, alpha: complex | None = None, beta: complex | None = None
+) -> SteeringResult:
+    """The four reference ensembles of the maximally mixed qubit, each the
+    steering of the singlet by one measurement on Alice's half.
+
+    E1: rectilinear basis; Bob holds |1>, |0>, probabilities 1/2 each.
+    E2: diagonal basis; Bob holds |->, |+>, probabilities 1/2 each.
+    E3: both bases at half weight; the union of E1 and E2, probabilities
+        1/4 each.
+    E4: ``teleportation_povm(alpha, beta)``; Bob holds (beta, -alpha),
+        (alpha, beta), (alpha, -beta), (beta, alpha), probabilities 1/4
+        each; requires unit-norm (alpha, beta).
+    """
+    if name == "E4":
+        if alpha is None or beta is None:
+            raise ValueError("E4 requires alpha and beta")
+        measurement = teleportation_povm(alpha, beta)
+    elif name in _REFERENCE_MEASUREMENTS:
+        measurement = _REFERENCE_MEASUREMENTS[name]
+    else:
+        raise ValueError(f"unknown ensemble {name!r}; expected E1..E4")
+    return steer(bell_state("psi-"), measurement)
+
 
 def b92_generation(s: SchmidtPair, basis: str = "diagonal") -> SteeringResult:
-    """Two-branch steering of a|00> + b|11| into a nonorthogonal signal pair.
+    """Two-branch steering of a|00> + b|11> into a nonorthogonal signal pair.
 
     With the default diagonal-basis measurement the branches occur with
     probability 1/2 each and Bob holds (a, b) or (a, -b), whose mutual

@@ -211,7 +211,7 @@ class TestCommands:
         assert row["within_three_sigma"] == "true"
         assert int(row["wrong_outcomes"]) == 0
 
-    def test_naive_matches_closed_forms(self, tmp_path):
+    def test_naive_matches_closed_forms(self, tmp_path, monkeypatch):
         path = tmp_path / "naive.csv"
         run_cli(["naive", "--a2", "0.5:1.0:0.1", "--out", str(path)])
         rows = read_csv(str(path))
@@ -228,6 +228,18 @@ class TestCommands:
                 < 1e-12
             )
             assert float(row["max_residual"]) < 1e-10
+        # an impossible phi+ branch (probability 0, or 5e-14 under PROB_FLOOR)
+        # has fidelity 0 in the closed form as in the kernel, and valid JSON
+        for a2 in ("1.0", "0.9999999999999"):
+            argv = ["naive", "--a2", a2, "--alpha-re", "0", "--beta-re", "1", "--format", "json"]
+            assert run_cli(argv + ["--out", str(path)]) == 0
+            [row] = json.loads(path.read_text(), parse_constant=pytest.fail)
+            assert row["phi_plus_fidelity"] == row["phi_plus_fidelity_sim"] == 0.0
+            assert row["max_residual"] < 1e-13
+        # a nan in either form shows in max_residual
+        monkeypatch.setattr(protocols, "naive_phi_plus_fidelity", lambda phi, s: float("nan"))
+        assert run_cli(["naive", "--a2", "0.8", "--out", str(path)]) == 0
+        assert read_csv(str(path))[0]["max_residual"] == "nan"
 
     def test_teleport_summary(self, tmp_path):
         path = tmp_path / "tele.csv"
@@ -287,6 +299,12 @@ class TestExitCodes:
         with pytest.raises(SystemExit) as exc:
             cli.main(["conclusive", "--bogus", "1"])
         assert exc.value.code == 2
+        # only teleport and conclusive sample, so only they take --seed and --trials
+        for command in ("naive", "quasi", "steer", "povm-check"):
+            for flag in ("--seed", "--trials"):
+                with pytest.raises(SystemExit) as exc:
+                    cli.main([command, flag, "1"])
+                assert exc.value.code == 2
 
     def test_trials_bound_exits_two(self):
         assert run_cli(["conclusive", "--trials", str(cli.MAX_TRIALS + 1)]) == 2
@@ -301,11 +319,24 @@ class TestExitCodes:
     def test_oversized_sweep_exits_two(self):
         assert run_cli(["conclusive", "--a2", "0.5:1.0:1e-15"]) == 2
 
-    def test_domain_violation_exits_two(self):
+    def test_domain_violation_exits_two(self, tmp_path):
         assert run_cli(["conclusive", "--a2", "0.3"]) == 2
+        assert run_cli(["conclusive", "--a2", "1.000000000002"]) == 2
+        assert run_cli(["naive", "--a2", "0.499999999998"]) == 2
+        # a value within GRID_TOL outside a closed bound runs at the bound
+        path = tmp_path / "out.csv"
+        for argv, a2 in ((["conclusive", "--a2", "1.0000000000005"], "1"),
+                         (["conclusive", "--a2", "0.4999999999995"], "0.5"),
+                         (["naive", "--a2", "0.4999999999995"], "0.5"),
+                         (["naive", "--a2", "0.5:1.0:0.16666666666667"], "1")):
+            assert run_cli(argv + ["--out", str(path)]) == 0
+            assert read_csv(str(path))[-1]["a2"] == a2
 
     def test_p_out_of_domain_exits_two(self):
         assert run_cli(["quasi", "--p", "1.0", "--n", "2"]) == 2
+        # the open domain takes no slack at its bounds
+        assert run_cli(["quasi", "--p", "0.9999999999995", "--n", "2"]) == 2
+        assert run_cli(["quasi", "--p", "5e-13", "--n", "2"]) == 2
 
     def test_bad_epsilon_exits_two(self):
         assert run_cli(["quasi", "--p", "0.5", "--epsilon", "2.0"]) == 2

@@ -2,7 +2,8 @@
 
 Every protocol is recomputed here the long way: the 8x8 joint density
 matrix, Alice's Kraus operator kron(sqrt(A), I) on particles (1, 2), a
-partial trace down to Bob and his correction.  The sampler is checked
+partial trace down to Bob and his correction.  The uncorrected branches
+over a random pure resource are also recomputed as steering.  The sampler is checked
 against a per-block loop over the same records and generator, and against
 the binomial law of its success count.
 """
@@ -14,17 +15,19 @@ from hypothesis import strategies as st
 
 from teleportsim import cli
 from teleportsim import protocols as pr
-from teleportsim.linalg import kron, partial_trace
-from teleportsim.povm import discrimination_povm
+from teleportsim.linalg import kron, max_abs, partial_trace
+from teleportsim.povm import Povm, discrimination_povm
 from teleportsim.states import (
     BELL_LABELS,
     DensityMatrix,
     PureState,
     SchmidtPair,
     bell_state,
+    haar_random_state,
     mixed_resource,
     partially_entangled,
 )
+from teleportsim.steering import steer
 
 TOL = 1e-12
 
@@ -146,6 +149,25 @@ def test_standard_over_filtered_mixture(phi, p, n):
         assert_matches(pr.standard_teleport(phi, rho),
                        dense_branches(phi, rho.matrix, bell_elements(),
                                       [table[lbl] for lbl in BELL_LABELS]))
+
+
+@settings(max_examples=100, deadline=None)
+@given(phi=qubits(), seed=st.integers(0, 2**32 - 1))
+def test_teleportation_is_steering(phi, seed):
+    # The paper's thesis: branch l of the Bell measurement over any pure
+    # resource R, uncorrected, is Alice steering R with the element
+    # <phi|_1 P_l |phi>_1 on particle 2.
+    resource = haar_random_state(4, np.random.default_rng(seed))
+    maps = pr.teleport_maps(resource, {lbl: np.eye(2) for lbl in BELL_LABELS})
+    v = phi.amplitudes
+    elements = [np.einsum("b,byaz,a->yz", v.conj(), p.reshape(2, 2, 2, 2), v)
+                for p in bell_elements()]
+    result = steer(resource, Povm(tuple(elements), BELL_LABELS))
+    bob_unnormalized = (maps.maps @ np.outer(v, v.conj()).reshape(4)).reshape(-1, 2, 2)
+    for branch, rho in zip(result.branches, bob_unnormalized):
+        assert abs(branch.probability - np.trace(rho).real) <= TOL
+        bob = np.zeros(2) if branch.bob_state is None else branch.bob_state.amplitudes
+        assert max_abs(branch.probability * np.outer(bob, bob.conj()) - rho) <= TOL
 
 
 def dense_entanglement_fidelity(rho):

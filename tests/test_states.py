@@ -7,6 +7,7 @@ from teleportsim.states import (
     PureState,
     SchmidtPair,
     bell_state,
+    canonical_phase,
     fidelity,
     haar_random_amplitudes,
     haar_random_state,
@@ -213,5 +214,5 @@ class TestPhaseConventions:
 
     def test_canonical_leading_amplitude(self):
         psi = PureState(np.exp(1j * 0.4) * np.array([0.0, 0.6, 0.8]))
-        canon = psi.canonical().amplitudes
+        canon = canonical_phase(psi.amplitudes)
         assert abs(canon[1].imag) < 1e-12 and canon[1].real > 0

@@ -12,18 +12,13 @@ from teleportsim.states import (
     PureState,
     SchmidtPair,
     bell_state,
+    canonical_phase,
     haar_random_state,
     haar_random_unitary,
     partially_entangled,
     qubit,
 )
-from teleportsim.steering import (
-    Ensemble,
-    b92_generation,
-    canonical_ensemble,
-    ensemble_density,
-    steer,
-)
+from teleportsim.steering import b92_generation, canonical_ensemble, steer
 
 
 def reduced_bob(shared: PureState) -> np.ndarray:
@@ -42,53 +37,69 @@ def dense_bob(shared: PureState, element: np.ndarray) -> np.ndarray:
 
 class TestEnsembleDensity:
     def test_e1_is_maximally_mixed(self):
-        rho = ensemble_density(canonical_ensemble("E1"))
-        np.testing.assert_allclose(rho.matrix, np.eye(2) / 2, atol=1e-12)
+        rho = canonical_ensemble("E1").realized_density()
+        np.testing.assert_allclose(rho, np.eye(2) / 2, atol=1e-12)
 
     def test_e2_e3_are_maximally_mixed(self):
         for name in ("E2", "E3"):
-            rho = ensemble_density(canonical_ensemble(name))
-            np.testing.assert_allclose(rho.matrix, np.eye(2) / 2, atol=1e-12)
+            rho = canonical_ensemble(name).realized_density()
+            np.testing.assert_allclose(rho, np.eye(2) / 2, atol=1e-12)
 
     def test_e4_is_maximally_mixed_for_any_parameters(self):
         rng = np.random.default_rng(61)
         for _ in range(20):
             v = rng.normal(size=2) + 1j * rng.normal(size=2)
             v /= np.linalg.norm(v)
-            rho = ensemble_density(canonical_ensemble("E4", v[0], v[1]))
-            np.testing.assert_allclose(rho.matrix, np.eye(2) / 2, atol=1e-12)
-
-    def test_single_member(self):
-        psi = qubit(0.6, 0.8j)
-        rho = ensemble_density(Ensemble(((1.0, psi),)))
-        np.testing.assert_allclose(rho.matrix, psi.density().matrix, atol=1e-12)
+            rho = canonical_ensemble("E4", v[0], v[1]).realized_density()
+            np.testing.assert_allclose(rho, np.eye(2) / 2, atol=1e-12)
 
 
 class TestCanonicalEnsembles:
     def test_e1_members(self):
         e = canonical_ensemble("E1")
-        assert [p for p, _ in e.members] == [0.5, 0.5]
-        assert e.members[0][1].isclose_up_to_phase(ZERO)
-        assert e.members[1][1].isclose_up_to_phase(ONE)
+        np.testing.assert_allclose(e.probabilities, [0.5, 0.5], atol=1e-12)
+        assert e.branches[0].bob_state.isclose_up_to_phase(ONE)
+        assert e.branches[1].bob_state.isclose_up_to_phase(ZERO)
+
+    def test_e2_members(self):
+        e = canonical_ensemble("E2")
+        np.testing.assert_allclose(e.probabilities, [0.5, 0.5], atol=1e-12)
+        assert e.branches[0].bob_state.isclose_up_to_phase(MINUS)
+        assert e.branches[1].bob_state.isclose_up_to_phase(PLUS)
 
     def test_e3_probabilities(self):
         e = canonical_ensemble("E3")
-        assert [p for p, _ in e.members] == [0.25] * 4
+        np.testing.assert_allclose(e.probabilities, [0.25] * 4, atol=1e-12)
+        for branch, want in zip(e.branches, (ONE, ZERO, MINUS, PLUS)):
+            assert branch.bob_state.isclose_up_to_phase(want)
+
+    def test_e4_members(self):
+        rng = np.random.default_rng(59)
+        for _ in range(20):
+            alpha, beta = haar_random_state(2, rng).amplitudes
+            e = canonical_ensemble("E4", alpha, beta)
+            np.testing.assert_allclose(e.probabilities, [0.25] * 4, atol=1e-12)
+            expected = (qubit(beta, -alpha), qubit(alpha, beta), qubit(alpha, -beta), qubit(beta, alpha))
+            for branch, want in zip(e.branches, expected):
+                assert branch.bob_state.isclose_up_to_phase(want)
 
     def test_e4_computational_limit(self):
         e = canonical_ensemble("E4", 1.0, 0.0)
-        targets = [ZERO, ZERO, ONE, ONE]
-        for (p, psi), want in zip(e.members, targets):
-            assert p == 0.25
-            assert psi.isclose_up_to_phase(want)
+        np.testing.assert_allclose(e.probabilities, [0.25] * 4, atol=1e-12)
+        for branch, want in zip(e.branches, (ONE, ZERO, ZERO, ONE)):
+            assert branch.bob_state.isclose_up_to_phase(want)
 
     def test_e4_requires_parameters(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="E4 requires alpha and beta"):
             canonical_ensemble("E4")
 
     def test_e4_rejects_unnormalized(self):
         with pytest.raises(ValueError):
             canonical_ensemble("E4", 1.0, 1.0)
+
+    def test_unknown_name(self):
+        with pytest.raises(ValueError, match="E1..E4"):
+            canonical_ensemble("E5")
 
 
 class TestSteer:
@@ -104,7 +115,7 @@ class TestSteer:
         alice = projective((PLUS, MINUS), ("+", "-"))
         result = steer(bell_state("psi-"), alice)
         np.testing.assert_allclose(result.probabilities, [0.5, 0.5], atol=1e-12)
-        labels = {b.bob_state.canonical().amplitudes[1].real > 0 for b in result.branches}
+        labels = {canonical_phase(b.bob_state.amplitudes)[1].real > 0 for b in result.branches}
         assert labels == {True, False}  # one of each diagonal state
 
     def test_singlet_with_teleportation_povm(self):
@@ -213,16 +224,3 @@ class TestB92:
         with pytest.raises(ValueError):
             b92_generation(SchmidtPair.from_a_squared(0.8), basis="circular")
 
-
-class TestEnsembleValidation:
-    def test_rejects_negative_probability(self):
-        with pytest.raises(ValueError):
-            Ensemble(((-0.1, ZERO), (1.1, ONE)))
-
-    def test_rejects_unnormalized(self):
-        with pytest.raises(ValueError):
-            Ensemble(((0.5, ZERO), (0.4, ONE)))
-
-    def test_rejects_mixed_dimensions(self):
-        with pytest.raises(ValueError):
-            Ensemble(((0.5, ZERO), (0.5, bell_state("phi+"))))
