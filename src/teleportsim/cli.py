@@ -30,9 +30,7 @@ from .states import (
     PureState,
     SchmidtPair,
     bell_state,
-    fidelity,
     haar_random_amplitudes,
-    mixed_resource,
     qubit,
 )
 
@@ -265,7 +263,8 @@ def _run_quasi(args: argparse.Namespace) -> list[dict]:
     n = args.n if args.n is not None else 1.0
     fp = protocols.FilterParams.from_n(n)
     for p in ps:
-        post, success_sim = protocols.bilocal_filter(mixed_resource(p), fp)
+        maps, success_sim = protocols.filtered_teleport_maps(p, fp)
+        p_prime_sim, avg_fidelity = maps.haar_averages()
         p_prime = protocols.p_prime_after_filter(p, n)
         rows.append({
             "p": p,
@@ -273,9 +272,9 @@ def _run_quasi(args: argparse.Namespace) -> list[dict]:
             "strength": fp.strength,
             "p_prime": p_prime,
             "success_prob": protocols.filter_success_probability(p, n),
-            "p_prime_sim": fidelity(bell_state("psi-"), post),
+            "p_prime_sim": p_prime_sim,
             "success_prob_sim": success_sim,
-            "avg_fidelity": protocols.teleport_average_fidelity(post),
+            "avg_fidelity": avg_fidelity,
             "max_fidelity_bound": protocols.max_teleport_fidelity(p_prime),
         })
     return rows

@@ -35,7 +35,6 @@ from .states import (
     PureState,
     SchmidtPair,
     bell_state,
-    fidelity,
     haar_random_amplitudes,
     mixed_resource,
     partially_entangled,
@@ -44,9 +43,6 @@ from .states import (
 MAX_FILTER_INDEX = 2**62
 """Largest filter index.  It keeps n * n finite, and as a power of two it
 bounds an integer index and the same index as a float alike."""
-
-SINGLET_FRACTION_SLACK = 1e-12
-"""How far a singlet fraction may round outside [0, 1]."""
 
 WRONG_OUTCOME_DEFECT = 1e-10
 """Fidelity defect above which a sampled conclusive branch is a wrong outcome."""
@@ -84,6 +80,7 @@ _BELL_PROJECTORS = readonly(np.array([
     np.outer(bell_state(label).amplitudes, bell_state(label).amplitudes.conj())
     for label in BELL_LABELS
 ]))
+_BELL_SUCCESS = readonly(np.ones(4, dtype=bool))
 
 
 @dataclass(frozen=True)
@@ -141,6 +138,17 @@ class TransferMaps:
             for label, p, f, ok in zip(self.labels, prob[0], fid[0], self.success)
         ]
 
+    def haar_averages(self) -> tuple[float, float]:
+        """Entanglement fidelity and average fidelity over Haar-random pure
+        inputs, both given success, read exactly from the success maps S_l.
+        As E[(phi phi^dag)^(x2)] = (I + SWAP) / 6, the Haar mean of
+        <phi|E_l(phi phi^dag)|phi> is (Tr S_l + Tr E_l(I)) / 6 and that of the
+        branch probability Tr E_l(I) / 2; half of |phi+> gives Tr S_l / 4."""
+        s = self.maps[self.success]
+        tr_s = float(np.trace(s, axis1=1, axis2=2).real.sum())
+        tr_id = float(s[:, ::3, ::3].sum().real)  # sum_l Tr E_l(I)
+        return tr_s / (2.0 * tr_id), (tr_s + tr_id) / (3.0 * tr_id)
+
 
 def _resource_matrix(resource: PureState | DensityMatrix) -> np.ndarray:
     if isinstance(resource, PureState):
@@ -178,7 +186,7 @@ def teleport_maps(
         _resource_matrix(resource),
         [corr[label] for label in BELL_LABELS],
     )
-    return TransferMaps(BELL_LABELS, maps, readonly(np.ones(4, dtype=bool)), 2)
+    return TransferMaps(BELL_LABELS, maps, _BELL_SUCCESS, 2)
 
 
 @dataclass(frozen=True)
@@ -327,26 +335,25 @@ def bilocal_filter(rho: DensityMatrix, fp: FilterParams) -> tuple[DensityMatrix,
     return DensityMatrix(unnorm / prob), prob
 
 
+def filtered_teleport_maps(p: float, fp: FilterParams) -> tuple[TransferMaps, float]:
+    """``bilocal_filter`` then ``teleport_maps`` over the singlet/|00> mixture:
+    the maps given that the filter passed, and its success probability.  V (x) V
+    is diagonal, so the filter scales the resource entrywise."""
+    s = fp.strength
+    w = np.array([s * s, s, s, 1.0])  # the diagonal of V (x) V
+    unnorm = mixed_resource(p).matrix * np.multiply.outer(w, w)
+    prob = float(np.trace(unnorm).real)
+    corr = correction_table("psi-")
+    maps = _transfer_maps(_BELL_PROJECTORS, unnorm / prob, [corr[lbl] for lbl in BELL_LABELS])
+    return TransferMaps(BELL_LABELS, maps, _BELL_SUCCESS, 2), prob
+
+
 def max_teleport_fidelity(f: float) -> float:
     """Best average teleportation fidelity (2F + 1) / 3 attainable from a
     resource with singlet fraction F."""
-    if not -SINGLET_FRACTION_SLACK <= f <= 1.0 + SINGLET_FRACTION_SLACK:
+    if not 0.0 <= f <= 1.0:
         raise ValueError(f"singlet fraction must lie in [0, 1], got {f!r}")
     return (2.0 * f + 1.0) / 3.0
-
-
-def teleport_entanglement_fidelity(resource: DensityMatrix) -> float:
-    """Entanglement fidelity of standard teleportation (singlet correction
-    table) over the given resource.  It equals the resource's singlet
-    fraction <psi-|rho|psi-> (Horodecki, Horodecki & Horodecki, PRA 60,
-    1888 (1999))."""
-    return fidelity(bell_state("psi-"), resource)
-
-
-def teleport_average_fidelity(resource: DensityMatrix) -> float:
-    """Average fidelity of standard teleportation over the resource, uniform
-    over pure inputs: (2 F_e + 1) / 3 with F_e the entanglement fidelity."""
-    return max_teleport_fidelity(teleport_entanglement_fidelity(resource))
 
 
 def required_filter_index(p: float, epsilon: float) -> int:
@@ -398,21 +405,22 @@ def quasi_conclusive_teleport(phi: PureState, p: float, epsilon: float) -> Quasi
     """Filtered teleportation over the singlet/|00> mixture.
 
     Picks the minimal filter index n whose post-filter singlet fraction
-    yields average fidelity at least 1 - epsilon, filters (two-way
-    confirmation assumed free, closed forms throughout), then teleports over
-    the filtered resource, the same mixture at p'.  Higher target fidelity
-    costs success probability: the filter success probability decreases
-    toward zero as epsilon shrinks.
+    yields average fidelity at least 1 - epsilon, then teleports through
+    the filtered maps (two-way confirmation of the filter assumed free).
+    The records are given that the filter passed; the figures of merit are
+    closed forms.  Higher target fidelity costs success probability: the
+    filter success probability decreases toward zero as epsilon shrinks.
     """
     n = required_filter_index(p, epsilon)
     p_prime = p_prime_after_filter(p, n)
+    fp = FilterParams.from_n(n)
     return QuasiConclusiveResult(
-        filter_params=FilterParams.from_n(n),
+        filter_params=fp,
         n=n,
         p_prime=p_prime,
         filter_success_prob=filter_success_probability(p, n),
         average_fidelity=max_teleport_fidelity(p_prime),
-        records=tuple(standard_teleport(phi, mixed_resource(p_prime))),
+        records=tuple(filtered_teleport_maps(p, fp)[0].records(phi)),
     )
 
 

@@ -37,6 +37,8 @@ class TestParseRange:
     def test_stop_not_on_grid_excluded(self):
         values = cli.parse_range("0.5:0.95:0.2")
         np.testing.assert_allclose(values, [0.5, 0.7, 0.9], atol=1e-12)
+        # 0.7 misses STOP by 1e-10, more than GRID_TOL, so it lies beyond STOP
+        assert cli.parse_range("0.5:0.6999999999:0.1") == [0.5, 0.6]
 
     def test_rejects_oversized_sweep_before_building_it(self):
         with pytest.raises(cli.CliError, match="points"):
@@ -284,6 +286,10 @@ class TestCommands:
         assert len(rows) == 2
         assert abs(float(rows[0]["overlap"]) - 0.6) < 1e-10
         assert float(rows[0]["hjw_residual"]) < 1e-9
+        # over |00> one rectilinear branch is impossible; the one state left has overlap 1
+        run_cli(["steer", "--a2", "1.0", "--basis", "rectilinear", "--out", str(path)])
+        rows = read_csv(str(path))
+        assert [row["overlap"] for row in rows] == ["1", "1"]
 
     def test_steer_telepovm(self, tmp_path):
         path = tmp_path / "steer2.csv"
@@ -381,7 +387,7 @@ README_STDOUT_SHA256 = {
     "conclusive --a2 0.8 --trials 100000 --seed 7":
         "53a6f8233796fc45cc5b0b19bc2a61fe51c6d9b46a1e40dbe459539f3d574a96",
     "quasi --p 0.5 --n 4":
-        "4bac7aeef4728cf9280e663f72d964ac76de7d40ce0994ba929022c9841d3051",
+        "c33967ddc96c67dbfb5403fc89b50bc2e41916ce2c9033e0ce056479a55b022a",
     "quasi --p 0.5 --epsilon 0.01":
         "db61447073ab301e770ab7576ff7b649a73cc5a196d58b49b81e01bb3b217b4c",
     "steer --a2 0.8":

@@ -5,7 +5,8 @@ matrix, Alice's Kraus operator kron(sqrt(A), I) on particles (1, 2), a
 partial trace down to Bob and his correction.  The uncorrected branches
 over a random pure resource are also recomputed as steering.  The sampler is checked
 against a per-block loop over the same records and generator, and against
-the binomial law of its success count.
+the binomial law of its success count.  The exact Haar averages read from
+the maps are checked against the six Pauli eigenstates and the dense channel.
 """
 
 import numpy as np
@@ -151,6 +152,28 @@ def test_standard_over_filtered_mixture(phi, p, n):
                                       [table[lbl] for lbl in BELL_LABELS]))
 
 
+@settings(max_examples=60, deadline=None)
+@given(
+    phi=qubits(),
+    p=st.floats(1e-3, 1 - 1e-3),
+    n=st.floats(0.0, np.log10(pr.MAX_FILTER_INDEX)).map(
+        lambda e: min(10.0**e, pr.MAX_FILTER_INDEX)
+    ),
+)
+@example(phi=PureState(np.array([0.6, 0.8j])), p=0.5, n=1e17)
+@example(phi=PureState(np.array([0.6, 0.8j])), p=0.01, n=float(pr.MAX_FILTER_INDEX))
+def test_filtered_maps_match_dense_filter(phi, p, n):
+    # the entrywise-scaled resource in the kernel against kron(V, V) rho
+    # kron(V, V)^dag and the 8x8 reference; branches given that the filter passed
+    fp = pr.FilterParams.from_n(n)
+    maps, prob = pr.filtered_teleport_maps(p, fp)
+    filtered, dense_prob = pr.bilocal_filter(mixed_resource(p), fp)
+    assert abs(prob - dense_prob) <= 1e-12 * dense_prob
+    table = pr.correction_table("psi-")
+    assert_matches(maps.records(phi), dense_branches(phi, filtered.matrix, bell_elements(),
+                                                     [table[lbl] for lbl in BELL_LABELS]))
+
+
 @settings(max_examples=100, deadline=None)
 @given(phi=qubits(), seed=st.integers(0, 2**32 - 1))
 def test_teleportation_is_steering(phi, seed):
@@ -189,13 +212,60 @@ def dense_entanglement_fidelity(rho):
     return float(np.vdot(phi_plus, out @ phi_plus).real)
 
 
+def random_density_matrix(seed):
+    rng = np.random.default_rng(seed)
+    g = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+    return DensityMatrix(g @ g.conj().T / np.trace(g @ g.conj().T).real)
+
+
+# The six Pauli eigenstates form a 3-design: their mean of any polynomial of
+# degree (2, 2) in (phi, conj(phi)) is its Haar average.
+PAULI_EIGENSTATES = np.array(
+    [[1, 0], [0, 1], [1, 1], [1, -1], [1, 1j], [1, -1j]], dtype=complex
+) / np.sqrt([1, 1, 2, 2, 2, 2])[:, None]
+
+
 @settings(max_examples=40, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1))
 def test_entanglement_fidelity_is_singlet_fraction(seed):
-    rng = np.random.default_rng(seed)
-    g = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-    rho = DensityMatrix(g @ g.conj().T / np.trace(g @ g.conj().T).real)
-    assert abs(pr.teleport_entanglement_fidelity(rho) - dense_entanglement_fidelity(rho)) <= TOL
+    rho = random_density_matrix(seed)
+    entanglement = pr.teleport_maps(rho).haar_averages()[0]
+    assert abs(entanglement - dense_entanglement_fidelity(rho)) <= TOL
+    singlet = bell_state("psi-").amplitudes
+    assert abs(entanglement - np.vdot(singlet, rho.matrix @ singlet).real) <= TOL
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_average_fidelity_is_pauli_design_mean(seed):
+    maps = pr.teleport_maps(random_density_matrix(seed))
+    prob, fid = maps.evaluate(PAULI_EIGENSTATES)
+    assert abs(maps.haar_averages()[1] - (prob * fid).sum() / prob.sum()) <= TOL
+
+
+@settings(max_examples=100, deadline=None)
+@given(a2=st.floats(0.5, 0.999))
+def test_conclusive_success_is_optimal(a2):
+    # 2 b^2 is the largest probability of turning a|00> + b|11> into a
+    # maximally entangled state by LOCC (Vidal, PRL 83, 1046 (1999)).  The
+    # Procrustean filter diag(b/a, 1) on particle 2 reaches it, leaving
+    # b(|00> + |11>); teleporting over that with the phi+ table is perfect.
+    # The conclusive protocol must match both.  b^2 >= 1e-3 keeps every
+    # branch far above PROB_FLOOR, which dense_branches applies like the kernel.
+    s = SchmidtPair.from_a_squared(a2)
+    r = kron(np.diag([s.b / s.a, 1.0]), np.eye(2)) @ partially_entangled(s).amplitudes
+    table = pr.correction_table("phi+")
+    branches = np.array([
+        dense_branches(PureState(v), np.outer(r, r.conj()), bell_elements(),
+                       [table[lbl] for lbl in BELL_LABELS])
+        for v in PAULI_EIGENSTATES
+    ])
+    prob, fid = branches[..., 0], branches[..., 1]
+    assert abs(prob.sum(axis=1).mean() - pr.conclusive_success_probability(s)) <= 1e-14
+    assert abs((prob * fid).sum() / prob.sum() - 1.0) <= 1e-14
+    entanglement, average = pr.conclusive_maps(s).haar_averages()
+    assert abs(entanglement - 1.0) <= 1e-14
+    assert abs(average - 1.0) <= 1e-14
 
 
 def block_monte_carlo(s, trials, seed):

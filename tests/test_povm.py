@@ -80,6 +80,8 @@ class TestDiscriminationPovm:
         assert len(p) == 2
         assert all(not pv.is_conclusive_label(lbl) for lbl in p.labels)
         np.testing.assert_allclose(sum(p.elements), np.eye(2), atol=1e-15)
+        # b = 1e-9 lies above DEGENERATE_B, so the POVM stays the generic one
+        assert len(pv.discrimination_povm(SchmidtPair(np.sqrt(1 - 1e-18), 1e-9))) == 3
 
     def test_conclusive_elements_require_normalization(self):
         # regression: without the 1/(2 a^2) factor on the conclusive elements

@@ -229,6 +229,12 @@ class TestConclusiveTeleport:
         success, closed = reported_and_closed(1 - 1e-11)
         assert abs(closed - 2.0e-11) < 1e-16
         np.testing.assert_allclose(success, closed, rtol=1e-12)
+        # b = 7.1e-7 is far above DEGENERATE_B, yet each conclusive branch
+        # (2.5e-13) falls under the floor: probability 0 and never a success
+        records = pr.conclusive_teleport(qubit(0.6, 0.8), SchmidtPair.from_a_squared(1 - 5e-13))
+        conclusive = [r for r in records if not r.outcome_label.endswith("inconclusive")]
+        assert len(conclusive) == 4
+        assert all(r.probability == 0.0 and not r.success for r in conclusive)
 
     def test_product_resource_never_succeeds(self):
         rng = np.random.default_rng(131)
@@ -316,34 +322,34 @@ class TestBilocalFilter:
 
 class TestAverageFidelity:
     def test_matches_closed_form_on_filtered_mixtures(self):
-        # composition oracle: full density-matrix simulation of filter +
-        # teleport against (2 p' + 1) / 3
+        # filter + teleport through the kernel against p' and (2 p' + 1) / 3
         for p in (0.2, 0.5, 0.8):
             for n in (1, 4, 16):
-                post, _ = pr.bilocal_filter(mixed_resource(p), pr.FilterParams.from_n(n))
+                maps, _ = pr.filtered_teleport_maps(p, pr.FilterParams.from_n(n))
                 p_prime = pr.p_prime_after_filter(p, n)
-                avg = pr.teleport_average_fidelity(post)
-                assert abs(avg - (2 * p_prime + 1) / 3) < 1e-9
+                entanglement, average = maps.haar_averages()
+                assert abs(entanglement - p_prime) < 1e-12
+                assert abs(average - (2 * p_prime + 1) / 3) < 1e-12
 
     def test_monte_carlo_agrees(self):
-        post, _ = pr.bilocal_filter(mixed_resource(0.5), pr.FilterParams.from_n(4))
-        analytic = pr.teleport_average_fidelity(post)
+        maps, _ = pr.filtered_teleport_maps(0.5, pr.FilterParams.from_n(4))
+        analytic = maps.haar_averages()[1]
         rng = np.random.default_rng(137)
         total = 0.0
         trials = 1500
         for _ in range(trials):
-            phi = haar_random_qubit(rng)
-            records = pr.standard_teleport(phi, post)
+            records = maps.records(haar_random_qubit(rng))
             total += sum(r.probability * r.fidelity for r in records)
         assert abs(total / trials - analytic) < 0.02
 
     def test_perfect_resource(self):
-        assert abs(pr.teleport_average_fidelity(bell_state("psi-").density()) - 1.0) < 1e-12
+        entanglement, average = pr.teleport_maps(bell_state("psi-")).haar_averages()
+        assert abs(entanglement - 1.0) < 1e-12
+        assert abs(average - 1.0) < 1e-12
 
     def test_entanglement_fidelity_equals_singlet_fraction(self):
         for p in (0.1, 0.5, 0.9):
-            rho = mixed_resource(p)
-            assert abs(pr.teleport_entanglement_fidelity(rho) - p) < 1e-12
+            assert abs(pr.teleport_maps(mixed_resource(p)).haar_averages()[0] - p) < 1e-12
 
 
 class TestMaxTeleportFidelity:
@@ -429,6 +435,10 @@ class TestQuasiConclusive:
         assert len(result.records) == 4
         assert abs(sum(r.probability for r in result.records) - 1.0) < 1e-10
         assert abs(result.p_prime - pr.p_prime_after_filter(0.5, result.n)) < 1e-12
+        # records are given that the filter passed, here with probability 1.5e-17
+        result = pr.quasi_conclusive_teleport(phi, 0.01, 1e-13)
+        assert abs(sum(r.probability for r in result.records) - 1.0) < 1e-12
+        assert all(r.probability > 0.0 for r in result.records)
 
 
 class TestTrialRng:
