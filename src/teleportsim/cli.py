@@ -112,23 +112,11 @@ def _sweep(args: argparse.Namespace, name: str) -> list[float]:
 def _format_cell(value) -> str:
     if value is None:
         return ""
-    if isinstance(value, (bool, np.bool_)):
+    if isinstance(value, bool):
         return "true" if value else "false"
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    if isinstance(value, (float, np.floating)):
-        return f"{float(value):.17g}"
+    if isinstance(value, float):
+        return f"{value:.17g}"
     return str(value)
-
-
-def _jsonable(value):
-    if isinstance(value, (np.bool_,)):
-        return bool(value)
-    if isinstance(value, (np.integer,)):
-        return int(value)
-    if isinstance(value, (np.floating,)):
-        return float(value)
-    return value
 
 
 def emit(rows: list[dict], columns: list[str], output_format: str, path: str) -> None:
@@ -143,7 +131,7 @@ def emit(rows: list[dict], columns: list[str], output_format: str, path: str) ->
             writer.writerow([_format_cell(row.get(c)) for c in columns])
         text = buf.getvalue()
     else:
-        payload = [{c: _jsonable(row.get(c)) for c in columns} for row in rows]
+        payload = [{c: row.get(c) for c in columns} for row in rows]
         text = json.dumps(payload, indent=2) + "\n"
     if path == "-":
         sys.stdout.write(text)

@@ -25,9 +25,6 @@ CONCLUSIVE_PLUS = "conclusive+"
 CONCLUSIVE_MINUS = "conclusive-"
 INCONCLUSIVE = "inconclusive"
 
-DEGENERATE_B = 1e-12
-"""Schmidt coefficient b below which (a, b) and (a, -b) are one state."""
-
 
 def completeness_residual(elements: Sequence[np.ndarray]) -> float:
     """Entrywise max-norm of (sum of elements) - identity."""
@@ -108,25 +105,15 @@ def discrimination_povm(s: SchmidtPair) -> Povm:
     identity; without it the set is complete only at a^2 = 1/2 while the
     stated success probability 1 - (a^2 - b^2) already presumes completeness.
 
-    For b below ``DEGENERATE_B`` the two states coincide up to phase and
-    cannot be discriminated; a two-element always-inconclusive POVM is
-    returned so sweeps over a in [1/sqrt(2), 1] terminate cleanly.
+    At b = 0 the two states coincide; the elements stay a valid POVM whose
+    conclusive outcomes have probability zero on both.
     """
     a, b = s.a, s.b
-    if b < DEGENERATE_B:
-        return Povm(
-            (np.diag([1.0, 0.0]).astype(complex), np.diag([0.0, 1.0]).astype(complex)),
-            (f"{INCONCLUSIVE}_0", f"{INCONCLUSIVE}_1"),
-        )
     q = 1.0 / (2.0 * a * a)
     a1 = q * np.array([[b * b, a * b], [a * b, a * a]], dtype=complex)
     a2 = q * np.array([[b * b, -a * b], [-a * b, a * a]], dtype=complex)
     a3 = np.array([[1.0 - (b * b) / (a * a), 0.0], [0.0, 0.0]], dtype=complex)
     return Povm((a1, a2, a3), (CONCLUSIVE_PLUS, CONCLUSIVE_MINUS, INCONCLUSIVE))
-
-
-def is_conclusive_label(label: str) -> bool:
-    return label.startswith("conclusive")
 
 
 def _check_projective_set(projectors: Sequence[np.ndarray]) -> tuple[np.ndarray, ...]:

@@ -28,13 +28,14 @@ from typing import Mapping
 import numpy as np
 
 from .linalg import PROB_FLOOR, dagger, kron, readonly
-from .povm import discrimination_povm, is_conclusive_label
+from .povm import discrimination_povm
 from .states import (
     BELL_LABELS,
+    MINUS,
+    PLUS,
     DensityMatrix,
     PureState,
     SchmidtPair,
-    bell_state,
     haar_random_amplitudes,
     mixed_resource,
     partially_entangled,
@@ -51,36 +52,53 @@ CONCLUSIVE_BLOCKS = 200
 """Blocks of a conclusive Monte Carlo run; the trials of a block share one
 Haar-random input."""
 
-# The four recovery rotations; every correction table below draws from this set.
-_ROT_SWAP_NEG = readonly(np.array([[0, 1], [-1, 0]], dtype=complex))
-_ROT_SWAP = readonly(np.array([[0, 1], [1, 0]], dtype=complex))
-_ROT_FLIP = readonly(np.array([[-1, 0], [0, 1]], dtype=complex))
-_ROT_ID = readonly(np.array([[1, 0], [0, 1]], dtype=complex))
-
-# Outcome -> rotation restoring the input, keyed by the Bell state of the
-# shared resource.  Rotations restore the input up to a global sign.
-_CORRECTIONS = {
-    "psi-": {"phi+": _ROT_SWAP_NEG, "phi-": _ROT_SWAP, "psi+": _ROT_FLIP, "psi-": _ROT_ID},
-    "phi+": {"phi+": _ROT_ID, "phi-": _ROT_FLIP, "psi+": _ROT_SWAP, "psi-": _ROT_SWAP_NEG},
-    "phi-": {"phi+": _ROT_FLIP, "phi-": _ROT_ID, "psi+": _ROT_SWAP_NEG, "psi-": _ROT_SWAP},
-    "psi+": {"phi+": _ROT_SWAP, "phi-": _ROT_SWAP_NEG, "psi+": _ROT_ID, "psi-": _ROT_FLIP},
-}
+# The four recovery rotations, in BELL_LABELS order: the one that restores
+# the input over the phi+ resource after that Bell outcome.
+_ROTATIONS = readonly(np.array([
+    [[1, 0], [0, 1]],
+    [[-1, 0], [0, 1]],
+    [[0, 1], [1, 0]],
+    [[0, 1], [-1, 0]],
+], dtype=complex))
 
 
 def correction_table(resource: str = "psi-") -> dict[str, np.ndarray]:
     """Bell outcome -> 2x2 recovery unitary for teleporting over the given
-    Bell resource state."""
-    if resource not in _CORRECTIONS:
+    Bell resource state.
+
+    A Bell index is 2 * parity + sign (parity 1 for psi, sign 1 for minus),
+    and the Pauli frames of resource and outcome compose as the XOR of their
+    indices (Bennett et al., PRL 70, 1895 (1993)); rotations restore the
+    input up to a global sign.
+    """
+    if resource not in BELL_LABELS:
         raise ValueError(f"unknown resource label {resource!r}; expected one of {BELL_LABELS}")
-    return dict(_CORRECTIONS[resource])
+    r = BELL_LABELS.index(resource)
+    return {label: _ROTATIONS[r ^ m] for m, label in enumerate(BELL_LABELS)}
 
 
-# The four rank-one Bell projectors on particles (1, 2), in BELL_LABELS order.
-_BELL_PROJECTORS = readonly(np.array([
-    np.outer(bell_state(label).amplitudes, bell_state(label).amplitudes.conj())
-    for label in BELL_LABELS
-]))
+# Parity subspaces of particles (1, 2): even spans (|00>, |11>), odd spans
+# (|10>, |01>).  This order gives the states to discriminate the same
+# (a, +-b) form in both subspaces.
+_PARITY_BASES = np.array([[0, 3], [2, 1]])
+
+
+def _in_parity_subspaces(elements) -> np.ndarray:
+    """The 2x2 stage ``elements`` placed in the even subspace, then the odd
+    one: a measurement on particles (1, 2) that checks parity first."""
+    out = np.zeros((2, len(elements), 4, 4), dtype=complex)
+    for k, basis in enumerate(_PARITY_BASES):
+        out[k][:, basis[:, None], basis] = elements
+    return out.reshape(-1, 4, 4)
+
+
+# The Bell measurement is the parity check, then the diagonal basis: its
+# projectors come out in BELL_LABELS order.
+_BELL_PROJECTORS = readonly(
+    _in_parity_subspaces([np.outer(v.amplitudes, v.amplitudes.conj()) for v in (PLUS, MINUS)])
+)
 _BELL_SUCCESS = readonly(np.ones(4, dtype=bool))
+_CONCLUSIVE_SUCCESS = readonly(np.tile([True, True, False], 2))
 
 
 @dataclass(frozen=True)
@@ -248,50 +266,28 @@ def naive_partial_teleport(phi: PureState, s: SchmidtPair) -> list[ProtocolRecor
     return standard_teleport(phi, partially_entangled(s), corrections=correction_table("phi+"))
 
 
-# Parity subspaces of particles (1, 2): "even" spans {|00>, |11>}, "odd"
-# spans {|01>, |10>}.  Isometry columns fix the subspace coordinate order;
-# the odd block is ordered (|10>, |01>) so the states to discriminate take
-# the same (a, +-b) form in both blocks.
-_EVEN_ISOMETRY = np.zeros((4, 2), dtype=complex)
-_EVEN_ISOMETRY[0, 0] = 1.0
-_EVEN_ISOMETRY[3, 1] = 1.0
-_ODD_ISOMETRY = np.zeros((4, 2), dtype=complex)
-_ODD_ISOMETRY[2, 0] = 1.0
-_ODD_ISOMETRY[1, 1] = 1.0
-
-_SUBSPACES = (("even", _EVEN_ISOMETRY), ("odd", _ODD_ISOMETRY))
-
-
 def conclusive_success_probability(s: SchmidtPair) -> float:
     """Closed-form success probability 1 - (a^2 - b^2) of the conclusive protocol."""
     return 1.0 - (s.a**2 - s.b**2)
 
 
-# Recovery rotation per (subspace, discrimination outcome); all entries are
-# members of the standard four-rotation set.
-_CONCLUSIVE_CORRECTIONS = {
-    ("even", "conclusive+"): _ROT_ID,
-    ("even", "conclusive-"): _ROT_FLIP,
-    ("odd", "conclusive+"): _ROT_SWAP,
-    ("odd", "conclusive-"): _ROT_SWAP_NEG,
-}
-
-
 def conclusive_maps(s: SchmidtPair) -> TransferMaps:
     """Branch maps of the conclusive protocol over a|00> + b|11>: inside
     each parity subspace of particles (1, 2), the unambiguous
-    discrimination POVM for (a, b) vs (a, -b).  Inconclusive branches get
-    no correction."""
+    discrimination POVM for (a, b) vs (a, -b) in place of the diagonal
+    basis.  Its conclusive outcomes are corrected as the Bell outcomes they
+    replace over the phi+ resource; inconclusive branches get no
+    correction."""
     disc = discrimination_povm(s)
-    labels, elements, corrections, success = [], [], [], []
-    for name, t in _SUBSPACES:
-        for label, a in zip(disc.labels, disc.elements):
-            labels.append(f"{name}:{label}")
-            elements.append(t @ a @ dagger(t))
-            corrections.append(_CONCLUSIVE_CORRECTIONS.get((name, label), _ROT_ID))
-            success.append(is_conclusive_label(label))
-    maps = _transfer_maps(elements, _resource_matrix(partially_entangled(s)), corrections)
-    return TransferMaps(tuple(labels), maps, readonly(np.array(success)), 3)
+    labels = tuple(f"{name}:{label}" for name in ("even", "odd") for label in disc.labels)
+    corrections = [_ROTATIONS[2 * k + j] if j < 2 else _ROTATIONS[0]
+                   for k in range(2) for j in range(3)]
+    maps = _transfer_maps(
+        _in_parity_subspaces(disc.elements),
+        _resource_matrix(partially_entangled(s)),
+        corrections,
+    )
+    return TransferMaps(labels, maps, _CONCLUSIVE_SUCCESS, 3)
 
 
 def conclusive_teleport(phi: PureState, s: SchmidtPair) -> list[ProtocolRecord]:

@@ -73,9 +73,10 @@ def steer(shared: PureState, alice_povm: Povm) -> SteeringResult:
             f"shared dimension {shared.dim} is not bipartite with Alice dimension {d_a}"
         )
     psi = shared.amplitudes.reshape(d_a, -1)  # psi[i, j]: Alice index i, Bob index j
+    # unnorms[l] = Tr_A[(A_l (x) I) |psi><psi|]
+    unnorms = np.einsum("ib,lki,kc->lbc", psi, alice_povm.elements, psi.conj())
     branches = []
-    for label, element in zip(alice_povm.labels, alice_povm.elements):
-        unnorm = psi.T @ element.T @ psi.conj()  # Tr_A[(A (x) I) |psi><psi|]
+    for label, unnorm in zip(alice_povm.labels, unnorms):
         prob = float(np.trace(unnorm).real)
         if prob < PROB_FLOOR:
             branches.append(SteeringBranch(label=label, probability=0.0, bob_state=None))

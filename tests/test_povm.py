@@ -75,12 +75,14 @@ class TestDiscriminationPovm:
             assert abs(psi2 @ p.elements[0] @ psi2) < 1e-12
             assert abs(psi1 @ p.elements[1] @ psi1) < 1e-12
 
-    def test_degenerate_returns_all_inconclusive(self):
+    def test_product_resource_keeps_generic_elements(self):
+        # at b = 0 the two states coincide: the generic elements stay a POVM
+        # whose conclusive outcomes never occur
         p = pv.discrimination_povm(SchmidtPair(1.0, 0.0))
-        assert len(p) == 2
-        assert all(not pv.is_conclusive_label(lbl) for lbl in p.labels)
+        assert p.labels == (pv.CONCLUSIVE_PLUS, pv.CONCLUSIVE_MINUS, pv.INCONCLUSIVE)
         np.testing.assert_allclose(sum(p.elements), np.eye(2), atol=1e-15)
-        # b = 1e-9 lies above DEGENERATE_B, so the POVM stays the generic one
+        state = np.array([1.0, 0.0])
+        assert all(state @ e @ state == 0.0 for e in p.elements[:2])
         assert len(pv.discrimination_povm(SchmidtPair(np.sqrt(1 - 1e-18), 1e-9))) == 3
 
     def test_conclusive_elements_require_normalization(self):

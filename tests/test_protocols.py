@@ -229,8 +229,8 @@ class TestConclusiveTeleport:
         success, closed = reported_and_closed(1 - 1e-11)
         assert abs(closed - 2.0e-11) < 1e-16
         np.testing.assert_allclose(success, closed, rtol=1e-12)
-        # b = 7.1e-7 is far above DEGENERATE_B, yet each conclusive branch
-        # (2.5e-13) falls under the floor: probability 0 and never a success
+        # b = 7.1e-7 is far from 0, yet each conclusive branch (2.5e-13)
+        # falls under the floor: probability 0 and never a success
         records = pr.conclusive_teleport(qubit(0.6, 0.8), SchmidtPair.from_a_squared(1 - 5e-13))
         conclusive = [r for r in records if not r.outcome_label.endswith("inconclusive")]
         assert len(conclusive) == 4
@@ -242,13 +242,28 @@ class TestConclusiveTeleport:
         records = pr.conclusive_teleport(phi, SchmidtPair(1.0, 0.0))
         assert sum(r.probability for r in records if r.success) == 0.0
 
-    def test_monte_carlo_within_binomial_error(self):
+    def test_monte_carlo_within_binomial_error(self, monkeypatch):
         s = SchmidtPair.from_a_squared(0.8)
         mc = pr.conclusive_monte_carlo(s, trials=20000, seed=5)
         sigma = np.sqrt(0.4 * 0.6 / 20000)
         assert abs(mc.empirical_rate - 0.4) <= 3 * sigma
         assert mc.wrong_outcomes == 0
         assert mc.min_conclusive_fidelity > 1 - 1e-10
+        assert pr.conclusive_monte_carlo(s, trials=10000, seed=3).wrong_outcomes == 0
+        # corrections off by a 1e-4 rad rotation leave a fidelity defect of
+        # about 1e-8, above WRONG_OUTCOME_DEFECT: those outcomes are wrong
+        c, d = np.cos(1e-4), np.sin(1e-4)
+        r = np.array([[c, -d], [d, c]])
+        exact_maps = pr.conclusive_maps
+
+        def rotated_maps(s):
+            m = exact_maps(s)
+            return pr.TransferMaps(m.labels, np.kron(r, r.conj()) @ m.maps, m.success,
+                                   m.classical_bits)
+
+        monkeypatch.setattr(pr, "conclusive_maps", rotated_maps)
+        mc = pr.conclusive_monte_carlo(s, trials=10000, seed=3)
+        assert mc.wrong_outcomes > 0
 
     def test_monte_carlo_deterministic(self):
         s = SchmidtPair.from_a_squared(0.7)

@@ -152,6 +152,8 @@ class TestValidation:
     def test_pure_state_norm(self):
         with pytest.raises(ValueError):
             PureState([1.0, 1.0])
+        with pytest.raises(ValueError):  # norm^2 off by 1e-8, above ATOL
+            PureState(np.array([np.sqrt(1 + 1e-8), 0]))
 
     def test_density_rejects_non_hermitian(self):
         m = np.array([[0.5, 0.5], [0.0, 0.5]], dtype=complex)
@@ -216,3 +218,6 @@ class TestPhaseConventions:
         psi = PureState(np.exp(1j * 0.4) * np.array([0.0, 0.6, 0.8]))
         canon = canonical_phase(psi.amplitudes)
         assert abs(canon[1].imag) < 1e-12 and canon[1].real > 0
+        # an amplitude of 1e-7 lies above ATOL, so it sets the phase
+        canon = canonical_phase(np.array([1e-7j, np.sqrt(1 - 1e-14)]))
+        np.testing.assert_allclose(canon[0], 1e-7, rtol=1e-12)
