@@ -177,31 +177,38 @@ def _run_teleport(args: argparse.Namespace) -> list[dict]:
     }]
 
 
+def _rows(columns: dict, shape: tuple[int, ...]) -> list[dict]:
+    """One row per entry of ``shape``, in C order, from columns broadcast
+    to it (a single value, one per sweep point, ...), as the Python scalars
+    ``emit`` formats."""
+    values = [np.broadcast_to(np.asarray(v), shape).ravel().tolist() for v in columns.values()]
+    return [dict(zip(columns, row)) for row in zip(*values)]
+
+
 def _run_naive(args: argparse.Namespace) -> list[dict]:
     a2s = _sweep(args, "a2")
     phi = _phi(args)
-    rows = []
-    for a2 in a2s:
-        s = SchmidtPair.from_a_squared(a2)
-        prob = protocols.naive_phi_plus_probability(phi, s)
-        fid = protocols.naive_phi_plus_fidelity(phi, s)
-        rec = protocols.naive_partial_teleport(phi, s)[0]
-        rows.append({
-            "a2": a2,
-            "a": s.a,
-            "b": s.b,
-            "alpha_re": phi.amplitudes[0].real,
-            "alpha_im": phi.amplitudes[0].imag,
-            "beta_re": phi.amplitudes[1].real,
-            "beta_im": phi.amplitudes[1].imag,
-            "phi_plus_prob": prob,
-            "phi_plus_fidelity": fid,
-            "phi_plus_prob_sim": rec.probability,
-            "phi_plus_fidelity_sim": rec.fidelity,
-            # np.maximum keeps a nan, which Python's max would drop
-            "max_residual": float(np.maximum(abs(rec.probability - prob), abs(rec.fidelity - fid))),
-        })
-    return rows
+    s = SchmidtPair.from_a_squared(np.array(a2s))
+    prob = protocols.naive_phi_plus_probability(phi, s)
+    fid = protocols.naive_phi_plus_fidelity(phi, s)
+    evaluated = protocols.naive_maps(s).evaluate(phi.amplitudes[None])
+    sim_prob, sim_fid = (v[0, :, 0] for v in evaluated)  # the phi+ branch of every pair
+    alpha, beta = phi.amplitudes
+    return _rows({
+        "a2": a2s,
+        "a": s.a,
+        "b": s.b,
+        "alpha_re": alpha.real,
+        "alpha_im": alpha.imag,
+        "beta_re": beta.real,
+        "beta_im": beta.imag,
+        "phi_plus_prob": prob,
+        "phi_plus_fidelity": fid,
+        "phi_plus_prob_sim": sim_prob,
+        "phi_plus_fidelity_sim": sim_fid,
+        # np.maximum keeps a nan, which Python's max would drop
+        "max_residual": np.maximum(abs(sim_prob - prob), abs(sim_fid - fid)),
+    }, (len(a2s),))
 
 
 def _run_conclusive(args: argparse.Namespace) -> list[dict]:
@@ -232,58 +239,50 @@ def _run_quasi(args: argparse.Namespace) -> list[dict]:
     if args.n is not None and args.epsilon is not None:
         raise CliError("give either --n or --epsilon, not both")
     ps = _sweep(args, "p")
-    phi = _phi(args)
-    rows = []
+    _phi(args)  # checked, though no column depends on the input
     if args.epsilon is not None:
-        for p in ps:
-            result = protocols.quasi_conclusive_teleport(phi, p, args.epsilon)
-            rows.append({
-                "p": p,
-                "epsilon": args.epsilon,
-                "n": result.n,
-                "strength": result.filter_params.strength,
-                "p_prime": result.p_prime,
-                "success_prob": result.filter_success_prob,
-                "avg_fidelity": result.average_fidelity,
-                "fidelity_target": 1.0 - args.epsilon,
-            })
-        return rows
+        # the planner searches per point; the closed forms take its integer n
+        ns = [protocols.required_filter_index(p, args.epsilon) for p in ps]
+        p_prime = [protocols.p_prime_after_filter(p, n) for p, n in zip(ps, ns)]
+        return _rows({
+            "p": ps,
+            "epsilon": args.epsilon,
+            "n": ns,
+            "strength": [protocols.FilterParams.from_n(n).strength for n in ns],
+            "p_prime": p_prime,
+            "success_prob": [protocols.filter_success_probability(p, n) for p, n in zip(ps, ns)],
+            "avg_fidelity": protocols.max_teleport_fidelity(np.array(p_prime)),
+            "fidelity_target": 1.0 - args.epsilon,
+        }, (len(ps),))
     n = args.n if args.n is not None else 1.0
     fp = protocols.FilterParams.from_n(n)
-    for p in ps:
-        maps, success_sim = protocols.filtered_teleport_maps(p, fp)
-        p_prime_sim, avg_fidelity = maps.haar_averages()
-        p_prime = protocols.p_prime_after_filter(p, n)
-        rows.append({
-            "p": p,
-            "n": n,
-            "strength": fp.strength,
-            "p_prime": p_prime,
-            "success_prob": protocols.filter_success_probability(p, n),
-            "p_prime_sim": p_prime_sim,
-            "success_prob_sim": success_sim,
-            "avg_fidelity": avg_fidelity,
-            "max_fidelity_bound": protocols.max_teleport_fidelity(p_prime),
-        })
-    return rows
+    p = np.array(ps)
+    maps, success_sim = protocols.filtered_teleport_maps(p, fp)
+    p_prime_sim, avg_fidelity = maps.haar_averages()
+    p_prime = protocols.p_prime_after_filter(p, n)
+    return _rows({
+        "p": ps,
+        "n": n,
+        "strength": fp.strength,
+        "p_prime": p_prime,
+        "success_prob": protocols.filter_success_probability(p, n),
+        "p_prime_sim": p_prime_sim,
+        "success_prob_sim": success_sim,
+        "avg_fidelity": avg_fidelity,
+        "max_fidelity_bound": protocols.max_teleport_fidelity(p_prime),
+    }, (len(ps),))
 
 
-def _steer_rows(result: steering.SteeringResult, base: dict) -> list[dict]:
-    rows = []
-    for i, branch in enumerate(result.branches):
-        bob = branch.bob_state
-        row = dict(base)
-        row.update({
-            "branch": i,
-            "label": branch.label,
-            "probability": branch.probability,
-            "bob0_re": None if bob is None else bob.amplitudes[0].real,
-            "bob0_im": None if bob is None else bob.amplitudes[0].imag,
-            "bob1_re": None if bob is None else bob.amplitudes[1].real,
-            "bob1_im": None if bob is None else bob.amplitudes[1].imag,
-        })
-        rows.append(row)
-    return rows
+def _steer_rows(result: steering.SteeringResult, before: dict, after: dict) -> list[dict]:
+    """One row per branch of each shared state: the columns ``before``, the
+    branch with Bob's amplitudes (empty when impossible), then ``after``."""
+    possible = result.probabilities > 0.0
+    columns = dict(before, branch=np.arange(len(result.labels)), label=result.labels,
+                   probability=result.probabilities)
+    for i, amp in enumerate(np.moveaxis(result.states, -1, 0)):
+        columns[f"bob{i}_re"] = np.where(possible, amp.real, None)
+        columns[f"bob{i}_im"] = np.where(possible, amp.imag, None)
+    return _rows(dict(columns, **after), possible.shape)
 
 
 def _run_steer(args: argparse.Namespace) -> list[dict]:
@@ -291,51 +290,47 @@ def _run_steer(args: argparse.Namespace) -> list[dict]:
         a2s = _sweep(args, "a2")
         if any(getattr(args, k) is not None for k in _PHI_FLAGS):
             raise CliError("steer takes either --a2 or alpha/beta flags, not both")
-        rows = []
-        for a2 in a2s:
-            s = SchmidtPair.from_a_squared(a2)
-            result = steering.b92_generation(s, basis=args.basis)
-            reduced = np.diag([s.a * s.a, s.b * s.b])  # Bob's half of a|00> + b|11>
-            residual = max_abs(result.realized_density() - reduced)
-            states = [b.bob_state for b in result.branches if b.bob_state is not None]
-            overlap = abs(states[0].overlap(states[1])) if len(states) == 2 else 1.0
-            branch_rows = _steer_rows(result, {"mode": "b92", "a2": a2, "basis": args.basis})
-            for row in branch_rows:
-                row["overlap"] = overlap
-                row["hjw_residual"] = residual
-            rows.extend(branch_rows)
-        return rows
+        s = SchmidtPair.from_a_squared(np.array(a2s))
+        result = steering.b92_generation(s, basis=args.basis)
+        reduced = np.zeros((len(a2s), 2, 2))  # Bob's half of a|00> + b|11>
+        reduced[:, 0, 0], reduced[:, 1, 1] = s.a * s.a, s.b * s.b
+        bob = result.states
+        overlap = np.where((result.probabilities > 0.0).all(axis=-1),
+                           abs((bob[:, 0].conj() * bob[:, 1]).sum(axis=-1)), 1.0)
+        return _steer_rows(
+            result,
+            {"mode": "b92", "a2": np.array(a2s)[:, None], "basis": args.basis},
+            {"overlap": overlap[:, None],
+             "hjw_residual": max_abs(result.realized_density() - reduced, axis=(-2, -1))[:, None]},
+        )
     phi = _phi(args)
     result = steering.steer(
         bell_state("psi-"),
         povm_mod.teleportation_povm(phi.amplitudes[0], phi.amplitudes[1]),
     )
     residual = max_abs(result.realized_density() - np.eye(2) / 2)
-    rows = _steer_rows(result, {"mode": "telepovm"})
-    for row in rows:
-        row["hjw_residual"] = residual
-    return rows
+    return _steer_rows(result, {"mode": "telepovm"}, {"hjw_residual": residual})
+
+
+def _povm_rows(names: list[str], p: povm_mod.Povm) -> list[dict]:
+    min_eig = povm_mod.min_eigenvalue(p.elements)
+    return _rows({
+        "povm": names,
+        "dim": p.dim,
+        "n_elements": len(p),
+        "completeness_residual": povm_mod.completeness_residual(p.elements),
+        "min_eigenvalue": min_eig,
+        "psd_ok": min_eig >= -ATOL,
+    }, (len(names),))
 
 
 def _run_povm_check(args: argparse.Namespace) -> list[dict]:
     a2s = _sweep(args, "a2") if args.a2 is not None else []
-    rows = []
     phi = _phi(args)
-    alpha, beta = phi.amplitudes[0], phi.amplitudes[1]
-    built = [("teleportation", povm_mod.teleportation_povm(alpha, beta))]
-    for a2 in a2s:
-        s = SchmidtPair.from_a_squared(a2)
-        built.append((f"discrimination(a2={a2!r})", povm_mod.discrimination_povm(s)))
-    for name, p in built:
-        min_eig = povm_mod.min_eigenvalue(p.elements)
-        rows.append({
-            "povm": name,
-            "dim": p.dim,
-            "n_elements": len(p),
-            "completeness_residual": povm_mod.completeness_residual(p.elements),
-            "min_eigenvalue": min_eig,
-            "psd_ok": min_eig >= -ATOL,
-        })
+    rows = _povm_rows(["teleportation"], povm_mod.teleportation_povm(*phi.amplitudes))
+    if a2s:  # one stack of POVMs, checked at once
+        disc = povm_mod.discrimination_povm(SchmidtPair.from_a_squared(np.array(a2s)))
+        rows += _povm_rows([f"discrimination(a2={a2!r})" for a2 in a2s], disc)
     return rows
 
 

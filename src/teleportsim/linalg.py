@@ -15,6 +15,7 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -27,9 +28,10 @@ PROB_FLOOR = 1e-12
 
 
 def as_complex_matrix(m) -> np.ndarray:
-    """Coerce to a complex128 2-D array, rejecting non-finite entries."""
+    """Coerce to a complex128 matrix, or a stack of matrices (..., rows,
+    cols), rejecting non-finite entries."""
     a = np.array(m, dtype=np.complex128)
-    if a.ndim != 2:
+    if a.ndim < 2:
         raise ValueError(f"expected a 2-D matrix, got ndim={a.ndim}")
     if not np.all(np.isfinite(a)):
         raise ValueError("matrix contains non-finite entries")
@@ -45,8 +47,8 @@ def as_complex_vector(v) -> np.ndarray:
 
 
 def dagger(m: np.ndarray) -> np.ndarray:
-    """Conjugate transpose."""
-    return m.conj().T
+    """Conjugate transpose of a matrix, or of each matrix of a stack."""
+    return np.swapaxes(m, -1, -2).conj()
 
 
 def kron(a, b) -> np.ndarray:
@@ -81,35 +83,43 @@ def partial_trace(m, dims: tuple[int, int], trace_out: str = "A") -> np.ndarray:
     raise ValueError(f"trace_out must be 'A' or 'B', got {trace_out!r}")
 
 
-def is_hermitian(m) -> bool:
+def is_hermitian(m):
+    """Whether a square matrix, or each matrix of a stack, equals its
+    conjugate transpose within ``ATOL``."""
     a = np.asarray(m)
-    if a.shape[0] != a.shape[1]:
-        return False
-    return bool(np.max(np.abs(a - dagger(a))) <= ATOL)
+    return max_abs(a - dagger(a), axis=(-2, -1)) <= ATOL
 
 
-def smallest_eigenvalue(m) -> float:
-    """Smallest eigenvalue of the Hermitian part h = (m + m^dag) / 2 of a square matrix.
+@functools.partial(np.vectorize, otypes=[float])
+def _smallest_2x2(d0: float, d1: float, h01: complex) -> float:
+    # Python float arithmetic per matrix: numpy's SIMD complex abs rounds
+    # differently from the C library's hypot behind abs(complex)
+    return (d0 + d1) / 2 - math.hypot((d0 - d1) / 2, abs(h01))
+
+
+def smallest_eigenvalue(m):
+    """Smallest eigenvalue of the Hermitian part h = (m + m^dag) / 2 of a
+    square matrix, or of each matrix of a stack (..., d, d).
 
     For 2x2 input it is the closed form (h00 + h11)/2 - hypot((h00 - h11)/2, |h01|),
     so the value does not depend on the LAPACK build; larger input goes to ``eigvalsh``.
     """
     a = np.asarray(m)
     h = (a + dagger(a)) / 2
-    if h.shape == (2, 2):
-        d0, d1 = float(h[0, 0].real), float(h[1, 1].real)
-        return (d0 + d1) / 2 - math.hypot((d0 - d1) / 2, abs(complex(h[0, 1])))
-    return float(np.linalg.eigvalsh(h).min())
+    if h.shape[-2:] == (2, 2):
+        return _smallest_2x2(h[..., 0, 0].real, h[..., 1, 1].real, h[..., 0, 1])[()]
+    return np.linalg.eigvalsh(h).min(axis=-1)
 
 
-def is_psd(m) -> bool:
-    """True iff ``m`` is Hermitian within ``ATOL`` with eigenvalues >= -ATOL."""
-    return is_hermitian(m) and smallest_eigenvalue(m) >= -ATOL
+def is_psd(m):
+    """Whether a matrix, or each matrix of a stack, is Hermitian within
+    ``ATOL`` with eigenvalues >= -ATOL."""
+    return is_hermitian(m) & (smallest_eigenvalue(m) >= -ATOL)
 
 
-def max_abs(m) -> float:
-    """Entrywise max-norm, used for completeness residuals."""
-    return float(np.max(np.abs(np.asarray(m))))
+def max_abs(m, axis=None):
+    """Entrywise max-norm, over all entries or over ``axis``."""
+    return np.abs(np.asarray(m)).max(axis=axis)
 
 
 def readonly(a: np.ndarray) -> np.ndarray:

@@ -1,7 +1,7 @@
 """Generalized measurements: POVM validation, builders and dilation.
 
-A POVM is stored as an ordered list of positive operators that sum to the
-identity.
+A POVM is stored as one array of ordered positive operators that sum to the
+identity; a stack of POVMs with shared labels is checked as one.
 """
 
 from __future__ import annotations
@@ -26,49 +26,52 @@ CONCLUSIVE_MINUS = "conclusive-"
 INCONCLUSIVE = "inconclusive"
 
 
-def completeness_residual(elements: Sequence[np.ndarray]) -> float:
-    """Entrywise max-norm of (sum of elements) - identity."""
-    mats = [np.asarray(e) for e in elements]
-    return max_abs(sum(mats) - np.eye(mats[0].shape[0]))
+def completeness_residual(elements) -> float | np.ndarray:
+    """Entrywise max-norm of (sum of elements) - identity, for a sequence of
+    elements or per POVM of a stack (..., elements, d, d)."""
+    mats = np.asarray(elements)
+    return max_abs(mats.sum(axis=-3) - np.eye(mats.shape[-1]), axis=(-2, -1))
 
 
-def min_eigenvalue(elements: Sequence[np.ndarray]) -> float:
-    """Smallest eigenvalue across the Hermitian parts of all elements."""
-    return min(smallest_eigenvalue(e) for e in elements)
+def min_eigenvalue(elements) -> float | np.ndarray:
+    """Smallest eigenvalue across the Hermitian parts of all elements, per
+    POVM of a stack."""
+    return smallest_eigenvalue(np.asarray(elements)).min(axis=-1)
 
 
 @dataclass(frozen=True)
 class Povm:
-    """Ordered positive operators summing to the identity, with unique labels."""
+    """Ordered positive operators summing to the identity, with unique labels:
+    one array (elements, d, d), or (..., elements, d, d) for a stack of POVMs
+    that share their labels, each of them checked."""
 
-    elements: tuple[np.ndarray, ...]
+    elements: np.ndarray
     labels: tuple[str, ...]
 
     def __post_init__(self):
-        mats = tuple(readonly(as_complex_matrix(e)) for e in self.elements)
-        if not mats:
+        mats = readonly(as_complex_matrix(self.elements))
+        if mats.ndim < 3 or mats.shape[-3] == 0:
             raise ValueError("POVM needs at least one element")
-        dim = mats[0].shape[0]
-        if any(m.shape != (dim, dim) for m in mats):
+        if mats.shape[-1] != mats.shape[-2]:
             raise ValueError("POVM elements must share one square dimension")
-        for i, m in enumerate(mats):
-            if not is_psd(m):
-                raise ValueError(f"POVM element {i} is not positive semidefinite")
-        res = completeness_residual(mats)
+        bad = np.flatnonzero(~is_psd(mats).all(axis=tuple(range(mats.ndim - 3))))
+        if bad.size:
+            raise ValueError(f"POVM element {bad[0]} is not positive semidefinite")
+        res = np.max(completeness_residual(mats))
         if res > ATOL:
             raise ValueError(f"POVM elements do not sum to identity (residual {res:.3e})")
         labels = tuple(self.labels)
-        if len(labels) != len(mats) or len(set(labels)) != len(labels):
+        if len(labels) != mats.shape[-3] or len(set(labels)) != len(labels):
             raise ValueError("labels must be unique and match the number of elements")
         object.__setattr__(self, "elements", mats)
         object.__setattr__(self, "labels", labels)
 
     @property
     def dim(self) -> int:
-        return self.elements[0].shape[0]
+        return self.elements.shape[-1]
 
     def __len__(self) -> int:
-        return len(self.elements)
+        return len(self.labels)
 
 
 def projective(states: Sequence[PureState], labels: Sequence[str]) -> Povm:
@@ -107,16 +110,18 @@ def discrimination_povm(s: SchmidtPair) -> Povm:
 
     At b = 0 the two states coincide; the elements stay a valid POVM whose
     conclusive outcomes have probability zero on both.
+    For a stack of pairs it is the stack of their POVMs, checked at once.
     """
-    a, b = s.a, s.b
-    q = 1.0 / (2.0 * a * a)
-    a1 = q * np.array([[b * b, a * b], [a * b, a * a]], dtype=complex)
-    a2 = q * np.array([[b * b, -a * b], [-a * b, a * a]], dtype=complex)
-    a3 = np.array([[1.0 - (b * b) / (a * a), 0.0], [0.0, 0.0]], dtype=complex)
-    return Povm((a1, a2, a3), (CONCLUSIVE_PLUS, CONCLUSIVE_MINUS, INCONCLUSIVE))
+    a, b = np.asarray(s.a), np.asarray(s.b)
+    v = np.stack([b, a], axis=-1)
+    plus = (1.0 / (2.0 * a * a))[..., None, None] * (v[..., :, None] * v[..., None, :])
+    inconclusive = np.zeros_like(plus)
+    inconclusive[..., 0, 0] = 1.0 - (b * b) / (a * a)
+    elements = np.stack([plus, plus * [[1, -1], [-1, 1]], inconclusive], axis=-3)
+    return Povm(elements, (CONCLUSIVE_PLUS, CONCLUSIVE_MINUS, INCONCLUSIVE))
 
 
-def _check_projective_set(projectors: Sequence[np.ndarray]) -> tuple[np.ndarray, ...]:
+def _check_projective_set(projectors: Sequence[np.ndarray]) -> np.ndarray:
     # Povm checks shape, PSD and completeness.  Orthogonality is checked
     # explicitly: it follows from the others only to about sqrt(ATOL).
     mats = Povm(tuple(projectors), tuple(map(str, range(len(projectors))))).elements
@@ -148,14 +153,12 @@ def induced_povm(
     """
     mats = _check_projective_set(projectors)
     d_aux = rho_aux.dim
-    d_total = mats[0].shape[0]
+    d_total = mats.shape[-1]
     if d_total % d_aux != 0:
         raise ValueError(f"projector dimension {d_total} does not factor by ancilla dimension {d_aux}")
     d_sys = d_total // d_aux
-    elems = tuple(
-        np.einsum("mrns,sr->mn", p.reshape(d_sys, d_aux, d_sys, d_aux), rho_aux.matrix)
-        for p in mats
-    )
+    p = mats.reshape(-1, d_sys, d_aux, d_sys, d_aux)
+    elems = np.einsum("lmrns,sr->lmn", p, rho_aux.matrix)
     if labels is None:
         labels = tuple(f"P{i}" for i in range(len(elems)))
     return Povm(elems, tuple(labels))

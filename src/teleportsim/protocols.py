@@ -10,7 +10,9 @@ Every branch of a protocol (one outcome of Alice's measurement on particles
 map, set by the measurement element, the resource and the correction.
 ``TransferMaps`` holds these maps for all branches and evaluates branch
 probabilities and fidelities for a whole batch of inputs at once; the
-per-input protocol functions are views over it.
+per-input protocol functions are views over it.  The maps are linear in the
+resource, so a whole sweep of resources is one contraction, and one
+resource is a stack of one.
 
 All protocol functions are pure; Monte Carlo helpers take an explicit seed
 and draw from counter-based (Philox) generators (``trial_rng``), so results
@@ -37,8 +39,8 @@ from .states import (
     PureState,
     SchmidtPair,
     haar_random_amplitudes,
-    mixed_resource,
-    partially_entangled,
+    mixture_matrix,
+    schmidt_amplitudes,
 )
 
 MAX_FILTER_INDEX = 2**62
@@ -114,7 +116,9 @@ class ProtocolRecord:
 
 @dataclass(frozen=True)
 class TransferMaps:
-    """All branches of one protocol as linear maps on the input qubit.
+    """All branches of one protocol as linear maps on the input qubit, for
+    one resource (``maps`` of shape (branches, 4, 4)) or a stack of them
+    (..., branches, 4, 4).
 
     ``maps[l]`` is a 4x4 matrix over flattened 2x2 operators that carries
     the input projector phi phi^dag to Bob's corrected, unnormalized state
@@ -135,16 +139,17 @@ class TransferMaps:
     classical_bits: int
 
     def evaluate(self, phis: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Branch probabilities and fidelities, each of shape (inputs,
+        """Branch probabilities and fidelities, each of shape (inputs, ...,
         branches), for normalized input amplitudes of shape (inputs, 2)."""
         x = (phis[:, :, None] * phis[:, None, :].conj()).reshape(-1, 4)
-        out = np.einsum("lij,nj->nli", self.maps, x)
+        out = np.einsum("lij,nj->nli", self.maps.reshape(-1, 4, 4), x)
         prob = out[:, :, 0].real + out[:, :, 3].real
         overlap = np.einsum("nj,nlj->nl", x.conj(), out).real
         occurs = prob >= PROB_FLOOR
         prob = np.where(occurs, prob, 0.0)
         fid = np.divide(overlap, prob, out=np.zeros_like(prob), where=occurs)
-        return prob, fid
+        shape = (len(x), *self.maps.shape[:-2])
+        return prob.reshape(shape), fid.reshape(shape)
 
     def records(self, phi: PureState) -> list[ProtocolRecord]:
         """One record per branch for a single input."""
@@ -156,37 +161,48 @@ class TransferMaps:
             for label, p, f, ok in zip(self.labels, prob[0], fid[0], self.success)
         ]
 
-    def haar_averages(self) -> tuple[float, float]:
+    def haar_averages(self) -> tuple[np.ndarray, np.ndarray]:
         """Entanglement fidelity and average fidelity over Haar-random pure
-        inputs, both given success, read exactly from the success maps S_l.
+        inputs, both given success, read exactly from the success maps S_l;
+        one value per resource of the stack.
         As E[(phi phi^dag)^(x2)] = (I + SWAP) / 6, the Haar mean of
         <phi|E_l(phi phi^dag)|phi> is (Tr S_l + Tr E_l(I)) / 6 and that of the
         branch probability Tr E_l(I) / 2; half of |phi+> gives Tr S_l / 4."""
-        s = self.maps[self.success]
-        tr_s = float(np.trace(s, axis1=1, axis2=2).real.sum())
-        tr_id = float(s[:, ::3, ::3].sum().real)  # sum_l Tr E_l(I)
+        s = self.maps[..., self.success, :, :]
+        tr_s = np.trace(s, axis1=-2, axis2=-1).real.sum(axis=-1)
+        # sum_l Tr E_l(I), one contiguous row per resource: the same sum for any stack
+        tr_id = s[..., ::3, ::3].reshape(*s.shape[:-3], -1).sum(axis=-1).real
         return tr_s / (2.0 * tr_id), (tr_s + tr_id) / (3.0 * tr_id)
 
 
-def _resource_matrix(resource: PureState | DensityMatrix) -> np.ndarray:
-    if isinstance(resource, PureState):
-        return np.outer(resource.amplitudes, resource.amplitudes.conj())
-    return resource.matrix
-
-
-def _transfer_maps(elements, resource: np.ndarray, corrections) -> np.ndarray:
-    """Branch maps for Alice's POVM elements on particles (1, 2), the
-    resource density matrix on (2, 3) and Bob's correction per branch.
+def _branch_tensor(elements, corrections) -> np.ndarray:
+    """The resource-free half of the branch maps for Alice's POVM elements A
+    on particles (1, 2) and Bob's correction U per branch,
+    T[l, (c, d, a, b), (z, x, y, w)] = U[l, c, x] A[l, (b, y), (a, z)] conj(U[l, d, w]).
 
     Bob's state depends on Alice's element A alone, not on the Kraus
     operator that realizes it: rho_B = Tr_12[(A (x) I)(phi phi^dag (x) rho_R)],
-    corrected to U rho_B U^dag.
-    """
-    a = np.asarray(elements).reshape(-1, 2, 2, 2, 2)  # A[l, (b, y), (a, z)]
-    r = resource.reshape(2, 2, 2, 2)  # rho_R[(z, x), (y, w)]
-    u = np.asarray(corrections)  # U[l, c, x]
-    maps = np.einsum("lcx,lbyaz,zxyw,ldw->lcdab", u, a, r, u.conj())
-    return readonly(maps.reshape(-1, 4, 4))
+    corrected to U rho_B U^dag.  As the corrections are signed permutations,
+    T holds entries of A up to sign."""
+    a = np.asarray(elements).reshape(-1, 2, 2, 2, 2)
+    u = np.asarray(corrections)
+    return np.einsum("lcx,lbyaz,ldw->lcdabzxyw", u, a, u.conj()).reshape(len(a), 16, 16)
+
+
+def _transfer_maps(tensor: np.ndarray, resources: np.ndarray) -> np.ndarray:
+    """Branch maps of shape (..., branches, 4, 4) for resource density
+    matrices rho_R[(z, x), (y, w)] on particles (2, 3) of shape (..., 4, 4):
+    one contraction of the branch tensor with the whole stack."""
+    r = resources.reshape(-1, 16)
+    maps = np.einsum("lij,sj->sli", tensor, r)
+    return readonly(maps.reshape(*resources.shape[:-2], len(tensor), 4, 4))
+
+
+def _bell_maps(resources: np.ndarray, corrections: Mapping[str, np.ndarray]) -> TransferMaps:
+    """Bell measurement over each resource density matrix of a stack, then
+    the outcome's recovery rotation from ``corrections``."""
+    tensor = _branch_tensor(_BELL_PROJECTORS, [corrections[label] for label in BELL_LABELS])
+    return TransferMaps(BELL_LABELS, _transfer_maps(tensor, resources), _BELL_SUCCESS, 2)
 
 
 def teleport_maps(
@@ -198,13 +214,11 @@ def teleport_maps(
     default)."""
     if resource.dim != 4:
         raise ValueError("resource must be a two-qubit state")
-    corr = correction_table("psi-") if corrections is None else corrections
-    maps = _transfer_maps(
-        _BELL_PROJECTORS,
-        _resource_matrix(resource),
-        [corr[label] for label in BELL_LABELS],
-    )
-    return TransferMaps(BELL_LABELS, maps, _BELL_SUCCESS, 2)
+    if isinstance(resource, PureState):
+        matrix = np.outer(resource.amplitudes, resource.amplitudes.conj())
+    else:
+        matrix = resource.matrix
+    return _bell_maps(matrix, correction_table("psi-") if corrections is None else corrections)
 
 
 @dataclass(frozen=True)
@@ -241,29 +255,47 @@ def standard_teleport(
     return teleport_maps(resource, corrections).records(phi)
 
 
-def naive_phi_plus_probability(phi: PureState, s: SchmidtPair) -> float:
+def _input_weights(phi: PureState) -> tuple[float, float]:
+    alpha, beta = abs(phi.amplitudes[0]), abs(phi.amplitudes[1])
+    return alpha * alpha, beta * beta
+
+
+def _schmidt_resources(s: SchmidtPair) -> np.ndarray:
+    """Density matrices of a|00> + b|11>, of shape (..., 4, 4) for a stack."""
+    v = schmidt_amplitudes(s)
+    return v[..., :, None] * v[..., None, :].conj()
+
+
+def naive_phi_plus_probability(phi: PureState, s: SchmidtPair):
     """Closed-form probability of the phi+ branch when teleporting over
-    a|00> + b|11> with a plain Bell measurement."""
-    aa, bb = abs(phi.amplitudes[0]) ** 2, abs(phi.amplitudes[1]) ** 2
-    return (aa * s.a**2 + bb * s.b**2) / 2.0
+    a|00> + b|11> with a plain Bell measurement; an array for a stack of
+    pairs.  Squares are products, so no libm ``pow`` rounds them."""
+    aa, bb = _input_weights(phi)
+    return (aa * (s.a * s.a) + bb * (s.b * s.b)) / 2.0
 
 
-def naive_phi_plus_fidelity(phi: PureState, s: SchmidtPair) -> float:
+def naive_phi_plus_fidelity(phi: PureState, s: SchmidtPair):
     """Closed-form output fidelity of the phi+ branch of the same protocol;
     0 when the branch is impossible (probability below PROB_FLOOR), as in
     ``TransferMaps.evaluate``."""
-    aa, bb = abs(phi.amplitudes[0]) ** 2, abs(phi.amplitudes[1]) ** 2
-    weight = aa * s.a**2 + bb * s.b**2  # twice the branch probability
-    if weight / 2.0 < PROB_FLOOR:
-        return 0.0
-    return (aa * s.a + bb * s.b) ** 2 / weight
+    aa, bb = _input_weights(phi)
+    weight = np.asarray(aa * (s.a * s.a) + bb * (s.b * s.b))  # twice the branch probability
+    amp = aa * s.a + bb * s.b
+    occurs = weight / 2.0 >= PROB_FLOOR
+    return np.divide(amp * amp, weight, out=np.zeros_like(weight), where=occurs)[()]
+
+
+def naive_maps(s: SchmidtPair) -> TransferMaps:
+    """Bell measurement over a|00> + b|11> with the phi+ table, for one
+    Schmidt pair or a stack of them."""
+    return _bell_maps(_schmidt_resources(s), correction_table("phi+"))
 
 
 def naive_partial_teleport(phi: PureState, s: SchmidtPair) -> list[ProtocolRecord]:
     """Bell-measurement teleportation over the partially entangled resource
     a|00> + b|11>.  Branch statistics depend on the input and the resource;
     the fidelity reaches one only at a = b."""
-    return standard_teleport(phi, partially_entangled(s), corrections=correction_table("phi+"))
+    return naive_maps(s).records(phi)
 
 
 def conclusive_success_probability(s: SchmidtPair) -> float:
@@ -282,11 +314,8 @@ def conclusive_maps(s: SchmidtPair) -> TransferMaps:
     labels = tuple(f"{name}:{label}" for name in ("even", "odd") for label in disc.labels)
     corrections = [_ROTATIONS[2 * k + j] if j < 2 else _ROTATIONS[0]
                    for k in range(2) for j in range(3)]
-    maps = _transfer_maps(
-        _in_parity_subspaces(disc.elements),
-        _resource_matrix(partially_entangled(s)),
-        corrections,
-    )
+    tensor = _branch_tensor(_in_parity_subspaces(disc.elements), corrections)
+    maps = _transfer_maps(tensor, _schmidt_resources(s))
     return TransferMaps(labels, maps, _CONCLUSIVE_SUCCESS, 3)
 
 
@@ -331,23 +360,23 @@ def bilocal_filter(rho: DensityMatrix, fp: FilterParams) -> tuple[DensityMatrix,
     return DensityMatrix(unnorm / prob), prob
 
 
-def filtered_teleport_maps(p: float, fp: FilterParams) -> tuple[TransferMaps, float]:
+def filtered_teleport_maps(p, fp: FilterParams) -> tuple[TransferMaps, float | np.ndarray]:
     """``bilocal_filter`` then ``teleport_maps`` over the singlet/|00> mixture:
-    the maps given that the filter passed, and its success probability.  V (x) V
+    the maps given that the filter passed, and its success probability; for
+    an array of p, a stack of maps and an array of probabilities.  V (x) V
     is diagonal, so the filter scales the resource entrywise."""
     s = fp.strength
     w = np.array([s * s, s, s, 1.0])  # the diagonal of V (x) V
-    unnorm = mixed_resource(p).matrix * np.multiply.outer(w, w)
-    prob = float(np.trace(unnorm).real)
-    corr = correction_table("psi-")
-    maps = _transfer_maps(_BELL_PROJECTORS, unnorm / prob, [corr[lbl] for lbl in BELL_LABELS])
-    return TransferMaps(BELL_LABELS, maps, _BELL_SUCCESS, 2), prob
+    unnorm = mixture_matrix(p) * np.multiply.outer(w, w)
+    prob = np.trace(unnorm, axis1=-2, axis2=-1).real
+    maps = _bell_maps(unnorm / prob[..., None, None], correction_table("psi-"))
+    return maps, prob[()]
 
 
 def max_teleport_fidelity(f: float) -> float:
     """Best average teleportation fidelity (2F + 1) / 3 attainable from a
     resource with singlet fraction F."""
-    if not 0.0 <= f <= 1.0:
+    if not all(0.0 <= x <= 1.0 for x in np.ravel(f)):
         raise ValueError(f"singlet fraction must lie in [0, 1], got {f!r}")
     return (2.0 * f + 1.0) / 3.0
 

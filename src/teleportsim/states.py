@@ -21,9 +21,9 @@ from .linalg import (
 
 
 def canonical_phase(v: np.ndarray) -> np.ndarray:
-    """Unit vector ``v`` times the global phase that makes its first
-    amplitude above ``ATOL`` real positive."""
-    lead = v[np.flatnonzero(np.abs(v) > ATOL)[0]]
+    """Unit vector ``v``, or each of a stack (..., d), times the global
+    phase that makes its first amplitude above ``ATOL`` real positive."""
+    lead = np.take_along_axis(v, np.argmax(np.abs(v) > ATOL, axis=-1)[..., None], axis=-1)
     return v * (np.conj(lead) / np.abs(lead))
 
 
@@ -66,7 +66,7 @@ class DensityMatrix:
 
     def __post_init__(self):
         m = as_complex_matrix(self.matrix)
-        if m.shape[0] != m.shape[1]:
+        if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ValueError(f"density matrix must be square, got {m.shape}")
         tr = complex(np.trace(m))
         if abs(tr - 1.0) > ATOL:
@@ -82,24 +82,24 @@ class DensityMatrix:
 
 @dataclass(frozen=True)
 class SchmidtPair:
-    """Real non-negative Schmidt coefficients of a two-qubit pure state, a >= b."""
+    """Real non-negative Schmidt coefficients of a two-qubit pure state, a >= b;
+    or of a stack of such states, with ``a`` and ``b`` arrays of one shape."""
 
-    a: float
-    b: float
+    a: float | np.ndarray
+    b: float | np.ndarray
 
     def __post_init__(self):
-        if not (np.isfinite(self.a) and np.isfinite(self.b)):
-            raise ValueError("Schmidt coefficients must be finite")
-        if self.a < 0 or self.b < 0 or self.a < self.b:
-            raise ValueError(f"require a >= b >= 0, got a={self.a!r}, b={self.b!r}")
-        if abs(self.a**2 + self.b**2 - 1.0) > ATOL:
-            raise ValueError("Schmidt coefficients must satisfy a^2 + b^2 = 1")
+        a, b = self.a, self.b  # a nan or an infinity fails every comparison below
+        if not np.asarray((b >= 0) & (a >= b) & (abs(a * a + b * b - 1.0) <= ATOL)).all():
+            raise ValueError(f"require finite a >= b >= 0 with a^2 + b^2 = 1, got a={a!r}, b={b!r}")
 
     @classmethod
-    def from_a_squared(cls, a2: float) -> "SchmidtPair":
-        if not 0.5 <= a2 <= 1.0:
+    def from_a_squared(cls, a2) -> "SchmidtPair":
+        """The pair of a^2, or the stack of pairs of an array of a^2."""
+        if not np.asarray((0.5 <= a2) & (a2 <= 1.0)).all():
             raise ValueError(f"a^2 must lie in [0.5, 1], got {a2!r}")
-        return cls(float(np.sqrt(a2)), float(np.sqrt(1.0 - a2)))
+        a, b = np.sqrt(a2), np.sqrt(1.0 - a2)
+        return cls(float(a), float(b)) if np.ndim(a2) == 0 else cls(a, b)
 
 
 def qubit(alpha: complex, beta: complex) -> PureState:
@@ -132,9 +132,16 @@ def bell_state(label: str) -> PureState:
     return _BELL_STATES[label]
 
 
+def schmidt_amplitudes(s: SchmidtPair) -> np.ndarray:
+    """Amplitudes of a|00> + b|11>, of shape (..., 4) for a stack of pairs."""
+    a = np.asarray(s.a, dtype=float)
+    zero = np.zeros_like(a)
+    return np.stack([a, zero, zero, np.asarray(s.b, dtype=float)], axis=-1).astype(complex)
+
+
 def partially_entangled(s: SchmidtPair) -> PureState:
     """Two-qubit state a|00> + b|11> in Schmidt form."""
-    return PureState(np.array([s.a, 0.0, 0.0, s.b]))
+    return PureState(schmidt_amplitudes(s))
 
 
 def schmidt_coeffs(psi: PureState) -> SchmidtPair:
@@ -156,11 +163,18 @@ def fidelity(target: PureState, rho: DensityMatrix | PureState) -> float:
     return float(val.real)
 
 
+def mixture_matrix(p) -> np.ndarray:
+    """Matrix of p |psi-><psi-| + (1-p) |00><00|, of shape (..., 4, 4) for an
+    array of p.  Every p in (0, 1) gives a density matrix."""
+    q = np.asarray(p, dtype=float)[..., None, None]
+    if not np.all((0.0 < q) & (q < 1.0)):
+        raise ValueError(f"mixing probability must lie in (0, 1), got {p!r}")
+    return q * _SINGLET_PROJECTOR + (1.0 - q) * _ZERO_ZERO_PROJECTOR
+
+
 def mixed_resource(p: float) -> DensityMatrix:
     """Mixture p |psi-><psi-| + (1-p) |00><00| with singlet fraction p."""
-    if not 0.0 < p < 1.0:
-        raise ValueError(f"mixing probability must lie in (0, 1), got {p!r}")
-    return DensityMatrix(p * _SINGLET_PROJECTOR + (1.0 - p) * _ZERO_ZERO_PROJECTOR)
+    return DensityMatrix(mixture_matrix(p))
 
 
 def haar_random_amplitudes(

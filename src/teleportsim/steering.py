@@ -2,12 +2,13 @@
 
 A measurement on Alice's half of a shared pure state selects which ensemble
 realizes Bob's (unchanged) reduced density matrix.  Branch order always
-follows POVM element order; impossible branches are kept with probability
-zero and a ``None`` placeholder state so indices stay aligned.
+follows POVM element order; an impossible branch has probability zero and
+a zero vector (``None`` in ``branches``), so indices stay aligned.
 """
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,7 +24,7 @@ from .states import (
     SchmidtPair,
     bell_state,
     canonical_phase,
-    partially_entangled,
+    schmidt_amplitudes,
 )
 
 RANK_ONE_SLACK = 1e-8
@@ -32,63 +33,73 @@ the column of the conditional state rho at its largest diagonal entry k,
 divided by sqrt(rho[k, k])."""
 
 
-@dataclass(frozen=True)
-class SteeringBranch:
-    label: str
-    probability: float
-    bob_state: PureState | None
+SteeringBranch = namedtuple("SteeringBranch", "label probability bob_state")
 
 
 @dataclass(frozen=True)
 class SteeringResult:
-    branches: tuple[SteeringBranch, ...]
+    """Bob's ensemble, one branch per element of Alice's POVM, for one shared
+    state or each of a stack: ``probabilities`` (..., branches) and Bob's
+    amplitudes ``states`` (..., branches, d), zero in an impossible branch."""
+
+    labels: tuple[str, ...]
+    probabilities: np.ndarray
+    states: np.ndarray
 
     @property
-    def probabilities(self) -> np.ndarray:
-        return np.array([b.probability for b in self.branches])
+    def branches(self) -> tuple[SteeringBranch, ...]:
+        """The branches of a single shared state, with ``None`` for Bob's
+        state in an impossible branch."""
+        return tuple(
+            SteeringBranch(label, float(p), PureState(v) if p > 0.0 else None)
+            for label, p, v in zip(self.labels, self.probabilities, self.states)
+        )
 
     def realized_density(self) -> np.ndarray:
-        """sum_i p_i |bob_i><bob_i| over the non-degenerate branches."""
-        dim = next(b.bob_state.dim for b in self.branches if b.bob_state is not None)
-        rho = np.zeros((dim, dim), dtype=complex)
-        for b in self.branches:
-            if b.bob_state is not None:
-                v = b.bob_state.amplitudes
-                rho += b.probability * np.outer(v, v.conj())
-        return rho
+        """sum_i p_i |bob_i><bob_i|, per shared state of the stack."""
+        v = self.states
+        weighted = self.probabilities[..., None, None] * (v[..., :, None] * v[..., None, :].conj())
+        return weighted.sum(axis=-3)
 
 
-def steer(shared: PureState, alice_povm: Povm) -> SteeringResult:
+def steer(shared: PureState | np.ndarray, alice_povm: Povm) -> SteeringResult:
     """Ensemble created on Bob's side by Alice measuring her half.
 
+    ``shared`` is one state, or a stack of normalized amplitudes (..., d).
     Branch i occurs with probability Tr[(A_i (x) I) |psi><psi|]; Bob's
     conditional state is pure for rank-one elements, so its amplitudes are
     read off one column of it, without an eigensolver, and returned with a
-    canonical phase (first nonzero amplitude real positive).  The weighted
-    branch projectors always reassemble Bob's reduced density matrix.
+    canonical phase (first amplitude above ``ATOL`` real positive).  The
+    weighted branch projectors always reassemble Bob's reduced density
+    matrix.  Every step is an array operation over the whole stack; none
+    calls BLAS.
     """
-    d_a = alice_povm.dim
-    if shared.dim % d_a != 0 or shared.dim // d_a < 2:
-        raise ValueError(
-            f"shared dimension {shared.dim} is not bipartite with Alice dimension {d_a}"
-        )
-    psi = shared.amplitudes.reshape(d_a, -1)  # psi[i, j]: Alice index i, Bob index j
-    # unnorms[l] = Tr_A[(A_l (x) I) |psi><psi|]
-    unnorms = np.einsum("ib,lki,kc->lbc", psi, alice_povm.elements, psi.conj())
-    branches = []
-    for label, unnorm in zip(alice_povm.labels, unnorms):
-        prob = float(np.trace(unnorm).real)
-        if prob < PROB_FLOOR:
-            branches.append(SteeringBranch(label=label, probability=0.0, bob_state=None))
-            continue
-        rho_b = unnorm / prob
-        k = int(np.argmax(np.diagonal(rho_b).real))
-        b = rho_b[:, k] / np.sqrt(rho_b[k, k].real)  # rho_b = b b^dag when pure
-        if max_abs(rho_b - np.outer(b, b.conj())) > RANK_ONE_SLACK:
+    amps = shared.amplitudes if isinstance(shared, PureState) else shared
+    d_a, dim = alice_povm.dim, amps.shape[-1]
+    if dim % d_a != 0 or dim // d_a < 2:
+        raise ValueError(f"shared dimension {dim} is not bipartite with Alice dimension {d_a}")
+    psi = amps.reshape(-1, d_a, dim // d_a)  # psi[s, i, j]: Alice index i, Bob index j
+    # unnorms[s, l] = Tr_A[(A_l (x) I) |psi_s><psi_s|]
+    unnorms = np.einsum("sib,lki,skc->slbc", psi, alice_povm.elements, psi.conj())
+    prob = np.trace(unnorms, axis1=-2, axis2=-1).real
+    possible = prob >= PROB_FLOOR
+    with np.errstate(divide="ignore", invalid="ignore"):  # impossible branches are masked
+        rho = unnorms / prob[..., None, None]
+        diag = np.diagonal(rho, axis1=-2, axis2=-1).real
+        k = np.argmax(diag, axis=-1)[..., None]
+        col = np.take_along_axis(rho, k[..., None, :], axis=-1)[..., 0]  # rho[:, k]
+        b = col / np.sqrt(np.take_along_axis(diag, k, axis=-1))  # rho = b b^dag when pure
+        if np.any(possible & (max_abs(rho - b[..., :, None] * b[..., None, :].conj(),
+                                      axis=(-2, -1)) > RANK_ONE_SLACK)):
             raise ValueError("POVM element of rank > 1 leaves Bob in a mixed conditional state")
-        bob = PureState(canonical_phase(b / np.linalg.norm(b)))
-        branches.append(SteeringBranch(label=label, probability=prob, bob_state=bob))
-    return SteeringResult(tuple(branches))
+        norm = np.sqrt((b.real * b.real).sum(axis=-1) + (b.imag * b.imag).sum(axis=-1))
+        bob = canonical_phase(b / norm[..., None])
+    shape = (*amps.shape[:-1], len(alice_povm))
+    return SteeringResult(
+        alice_povm.labels,
+        np.where(possible, prob, 0.0).reshape(shape),
+        np.where(possible[..., None], bob, 0.0).reshape(*shape, -1),
+    )
 
 
 _B92_BASES = {
@@ -134,7 +145,8 @@ def canonical_ensemble(
 
 
 def b92_generation(s: SchmidtPair, basis: str = "diagonal") -> SteeringResult:
-    """Two-branch steering of a|00> + b|11> into a nonorthogonal signal pair.
+    """Two-branch steering of a|00> + b|11> into a nonorthogonal signal pair,
+    for one Schmidt pair or a stack of them.
 
     With the default diagonal-basis measurement the branches occur with
     probability 1/2 each and Bob holds (a, b) or (a, -b), whose mutual
@@ -144,4 +156,4 @@ def b92_generation(s: SchmidtPair, basis: str = "diagonal") -> SteeringResult:
     """
     if basis not in _B92_BASES:
         raise ValueError(f"basis must be 'diagonal' or 'rectilinear', got {basis!r}")
-    return steer(partially_entangled(s), _B92_BASES[basis])
+    return steer(schmidt_amplitudes(s), _B92_BASES[basis])

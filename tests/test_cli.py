@@ -393,7 +393,7 @@ README_STDOUT_SHA256 = {
     "steer --a2 0.8":
         "563f4dc0db80d0369c10740cd7c2bcef0f1b082baedbeb387393d232f1216032",
     "steer --alpha-re 0.6 --beta-re 0.8":
-        "f0b4e6ea75610a34fbbf2b5198d357b8fe8c59cf022424b768fe9fe8314462bc",
+        "a43e0381abba7efb520117318f5fa712550e6958baf990370a818d77dcf8274a",
     "povm-check --alpha-re 1 --beta-re 0 --a2 0.8":
         "20fd2c34c5d69119bf6009ec32e601940b09755164254cdf41e35c6599fa8d18",
 }

@@ -20,6 +20,8 @@ from teleportsim.linalg import kron, max_abs, partial_trace
 from teleportsim.povm import Povm, discrimination_povm
 from teleportsim.states import (
     BELL_LABELS,
+    MINUS,
+    PLUS,
     DensityMatrix,
     PureState,
     SchmidtPair,
@@ -191,6 +193,78 @@ def test_teleportation_is_steering(phi, seed):
         assert abs(branch.probability - np.trace(rho).real) <= TOL
         bob = np.zeros(2) if branch.bob_state is None else branch.bob_state.amplitudes
         assert max_abs(branch.probability * np.outer(bob, bob.conj()) - rho) <= TOL
+
+
+def reference_maps(elements, resource, corrections):
+    """The branch maps as one four-operand contraction of element, resource
+    and correction, the form the kernel had before it split off the
+    resource-free tensor."""
+    a = np.asarray(elements).reshape(-1, 2, 2, 2, 2)  # A[l, (b, y), (a, z)]
+    r = resource.reshape(2, 2, 2, 2)  # rho_R[(z, x), (y, w)]
+    u = np.asarray(corrections)  # U[l, c, x]
+    return np.einsum("lcx,lbyaz,zxyw,ldw->lcdab", u, a, r, u.conj()).reshape(-1, 4, 4)
+
+
+def parity_embedding(stage):
+    """A 2x2 stage placed by index in the even subspace (|00>, |11>), then
+    in the odd one (|10>, |01>)."""
+    out = np.zeros((2, len(stage), 4, 4), dtype=complex)
+    for k, basis in enumerate(np.array([[0, 3], [2, 1]])):
+        out[k][:, basis[:, None], basis] = stage
+    return out.reshape(-1, 4, 4)
+
+
+BELL_PROJECTORS = parity_embedding(
+    [np.outer(v.amplitudes, v.amplitudes.conj()) for v in (PLUS, MINUS)]
+)
+
+
+def assert_bitwise(maps, reference):
+    assert maps.shape == reference.shape
+    assert maps.tobytes() == reference.tobytes()
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seeds=st.lists(st.integers(0, 2**32 - 1), min_size=1, max_size=4),
+    a2s=st.lists(a_squared, min_size=1, max_size=6),
+    ps=st.lists(mixing, min_size=1, max_size=6),
+    n=st.sampled_from([1, 4, 37.3, 1e6]),
+)
+@example(seeds=[0], a2s=[0.5, 1.0], ps=[0.01, 0.99], n=1e6)
+def test_split_kernel_is_bitwise_the_four_operand_contraction(seeds, a2s, ps, n):
+    # the resource-free tensor contracted with a stack of resources gives
+    # exactly the maps of one four-operand einsum per resource
+    for label in BELL_LABELS:
+        table = pr.correction_table(label)
+        corrections = [table[lbl] for lbl in BELL_LABELS]
+        for seed in seeds:
+            v = haar_random_state(4, np.random.default_rng(seed)).amplitudes
+            assert_bitwise(pr.teleport_maps(PureState(v), table).maps,
+                           reference_maps(BELL_PROJECTORS, np.outer(v, v.conj()), corrections))
+        for p in ps:
+            assert_bitwise(pr.teleport_maps(mixed_resource(p), table).maps,
+                           reference_maps(BELL_PROJECTORS, mixed_resource(p).matrix, corrections))
+    stack = SchmidtPair.from_a_squared(np.array(a2s))
+    phi_plus = pr.correction_table("phi+")
+    for a2, maps in zip(a2s, pr.naive_maps(stack).maps):
+        s = SchmidtPair.from_a_squared(a2)
+        rho = partially_entangled(s).density().matrix
+        assert_bitwise(maps, reference_maps(BELL_PROJECTORS, rho,
+                                            [phi_plus[lbl] for lbl in BELL_LABELS]))
+        disc = parity_embedding(discrimination_povm(s).elements)
+        corrections = [_RECOVERY.get((name, label), np.eye(2))
+                       for name in ("even", "odd") for label in discrimination_povm(s).labels]
+        assert_bitwise(pr.conclusive_maps(s).maps, reference_maps(disc, rho, corrections))
+    fp = pr.FilterParams.from_n(n)
+    psi_minus = pr.correction_table("psi-")
+    filtered, _ = pr.filtered_teleport_maps(np.array(ps), fp)
+    s = fp.strength
+    w = np.array([s * s, s, s, 1.0])
+    for p, maps in zip(ps, filtered.maps):
+        unnorm = mixed_resource(p).matrix * np.multiply.outer(w, w)
+        assert_bitwise(maps, reference_maps(BELL_PROJECTORS, unnorm / np.trace(unnorm).real,
+                                            [psi_minus[lbl] for lbl in BELL_LABELS]))
 
 
 def dense_entanglement_fidelity(rho):
