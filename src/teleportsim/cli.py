@@ -1,11 +1,13 @@
 """Reproducibility front end: analytic sweeps and seeded Monte Carlo runs.
 
 Every command emits a machine-readable table (CSV or JSON) whose analytic
-columns are taken verbatim from the library's closed forms; the CLI adds no
-arithmetic of its own.  Identical configuration and seed produce
-byte-identical output.  The parsed arguments are the whole configuration:
-each subcommand carries its own defaults and binds its runner, which
-returns the rows of its table.
+columns are taken verbatim from the library.  The CLI derives only check and
+residual columns: teleport's chunk statistics, conclusive's abs_deviation,
+three_sigma and within_three_sigma, naive's max_residual, steer's overlap and
+hjw_residual, and povm-check's psd_ok.  Identical configuration and seed
+produce byte-identical output.  The parsed arguments are the whole
+configuration: each subcommand carries its own defaults and binds its
+runner, which returns the rows of its table.
 
 Exit codes: 0 success, 1 I/O error, 2 validation error.
 """
@@ -313,6 +315,8 @@ def _run_steer(args: argparse.Namespace) -> list[dict]:
 
 
 def _povm_rows(names: list[str], p: povm_mod.Povm) -> list[dict]:
+    """Report rows of a POVM that passed ``Povm``'s checks, so ``psd_ok`` is
+    always true: a builder defect exits 2 before any row is written."""
     min_eig = povm_mod.min_eigenvalue(p.elements)
     return _rows({
         "povm": names,

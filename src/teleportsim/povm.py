@@ -89,8 +89,8 @@ def teleportation_povm(alpha: complex, beta: complex) -> Povm:
     (beta, -alpha), (alpha, beta), (alpha, -beta), (beta, alpha) respectively.
     """
     alpha, beta = qubit(alpha, beta).amplitudes
-    aa = abs(alpha) ** 2
-    bb = abs(beta) ** 2
+    aa = abs(alpha) * abs(alpha)  # products, so no libm pow rounds them
+    bb = abs(beta) * abs(beta)
     ba = beta * np.conj(alpha)  # off-diagonal of the first element
     a1 = 0.5 * np.array([[aa, ba], [np.conj(ba), bb]])
     a2 = 0.5 * np.array([[bb, -np.conj(ba)], [-ba, aa]])
@@ -135,11 +135,7 @@ def _check_projective_set(projectors: Sequence[np.ndarray]) -> np.ndarray:
     return mats
 
 
-def induced_povm(
-    projectors: Sequence[np.ndarray],
-    rho_aux: DensityMatrix,
-    labels: Sequence[str] | None = None,
-) -> Povm:
+def induced_povm(projectors: Sequence[np.ndarray], rho_aux: DensityMatrix) -> Povm:
     """POVM on the system alone induced by a projective measurement on
     system (x) ancilla with the ancilla prepared in ``rho_aux``.
 
@@ -159,6 +155,4 @@ def induced_povm(
     d_sys = d_total // d_aux
     p = mats.reshape(-1, d_sys, d_aux, d_sys, d_aux)
     elems = np.einsum("lmrns,sr->lmn", p, rho_aux.matrix)
-    if labels is None:
-        labels = tuple(f"P{i}" for i in range(len(elems)))
-    return Povm(elems, tuple(labels))
+    return Povm(elems, tuple(f"P{i}" for i in range(len(elems))))

@@ -25,7 +25,6 @@ block, then all blocks' outcome counts in one multinomial draw.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping
 
 import numpy as np
 
@@ -198,27 +197,33 @@ def _transfer_maps(tensor: np.ndarray, resources: np.ndarray) -> np.ndarray:
     return readonly(maps.reshape(*resources.shape[:-2], len(tensor), 4, 4))
 
 
-def _bell_maps(resources: np.ndarray, corrections: Mapping[str, np.ndarray]) -> TransferMaps:
+# The Bell measurement's branch tensor in each frame, built once.
+_BELL_TENSORS = {
+    frame: readonly(_branch_tensor(_BELL_PROJECTORS, list(correction_table(frame).values())))
+    for frame in BELL_LABELS
+}
+
+
+def _bell_maps(resources: np.ndarray, frame: str) -> TransferMaps:
     """Bell measurement over each resource density matrix of a stack, then
-    the outcome's recovery rotation from ``corrections``."""
-    tensor = _branch_tensor(_BELL_PROJECTORS, [corrections[label] for label in BELL_LABELS])
-    return TransferMaps(BELL_LABELS, _transfer_maps(tensor, resources), _BELL_SUCCESS, 2)
+    the outcome's recovery rotation in Bell frame ``frame``."""
+    maps = _transfer_maps(_BELL_TENSORS[frame], resources)
+    return TransferMaps(BELL_LABELS, maps, _BELL_SUCCESS, 2)
 
 
-def teleport_maps(
-    resource: PureState | DensityMatrix,
-    corrections: Mapping[str, np.ndarray] | None = None,
-) -> TransferMaps:
+def teleport_maps(resource: PureState | DensityMatrix, frame: str = "psi-") -> TransferMaps:
     """Bell measurement on particles (1, 2) over a two-qubit resource, pure
-    or mixed, then the outcome's recovery rotation (the singlet table by
-    default)."""
+    or mixed, then the outcome's recovery rotation in Bell frame ``frame``:
+    ``correction_table(frame)``, the singlet's by default."""
+    if frame not in _BELL_TENSORS:
+        correction_table(frame)  # raises ValueError for an unknown label
     if resource.dim != 4:
         raise ValueError("resource must be a two-qubit state")
     if isinstance(resource, PureState):
         matrix = np.outer(resource.amplitudes, resource.amplitudes.conj())
     else:
         matrix = resource.matrix
-    return _bell_maps(matrix, correction_table("psi-") if corrections is None else corrections)
+    return _bell_maps(matrix, frame)
 
 
 @dataclass(frozen=True)
@@ -241,18 +246,16 @@ class FilterParams:
 
 
 def standard_teleport(
-    phi: PureState,
-    resource: PureState | DensityMatrix,
-    corrections: Mapping[str, np.ndarray] | None = None,
+    phi: PureState, resource: PureState | DensityMatrix, frame: str = "psi-"
 ) -> list[ProtocolRecord]:
     """Teleport ``phi`` over a two-qubit resource via a Bell measurement on
-    particles (1, 2) followed by the outcome-dependent recovery rotation.
+    particles (1, 2), then the recovery rotation in Bell frame ``frame``.
 
     With the singlet resource every branch occurs with probability 1/4 and
     reaches fidelity one after correction.  A density-matrix resource (used
     after filtering) runs through the same branch maps.
     """
-    return teleport_maps(resource, corrections).records(phi)
+    return teleport_maps(resource, frame).records(phi)
 
 
 def _input_weights(phi: PureState) -> tuple[float, float]:
@@ -286,9 +289,9 @@ def naive_phi_plus_fidelity(phi: PureState, s: SchmidtPair):
 
 
 def naive_maps(s: SchmidtPair) -> TransferMaps:
-    """Bell measurement over a|00> + b|11> with the phi+ table, for one
+    """Bell measurement over a|00> + b|11> in the phi+ frame, for one
     Schmidt pair or a stack of them."""
-    return _bell_maps(_schmidt_resources(s), correction_table("phi+"))
+    return _bell_maps(_schmidt_resources(s), "phi+")
 
 
 def naive_partial_teleport(phi: PureState, s: SchmidtPair) -> list[ProtocolRecord]:
@@ -300,7 +303,7 @@ def naive_partial_teleport(phi: PureState, s: SchmidtPair) -> list[ProtocolRecor
 
 def conclusive_success_probability(s: SchmidtPair) -> float:
     """Closed-form success probability 1 - (a^2 - b^2) of the conclusive protocol."""
-    return 1.0 - (s.a**2 - s.b**2)
+    return 1.0 - (s.a * s.a - s.b * s.b)  # products, so no libm pow rounds them
 
 
 def conclusive_maps(s: SchmidtPair) -> TransferMaps:
@@ -369,7 +372,7 @@ def filtered_teleport_maps(p, fp: FilterParams) -> tuple[TransferMaps, float | n
     w = np.array([s * s, s, s, 1.0])  # the diagonal of V (x) V
     unnorm = mixture_matrix(p) * np.multiply.outer(w, w)
     prob = np.trace(unnorm, axis1=-2, axis2=-1).real
-    maps = _bell_maps(unnorm / prob[..., None, None], correction_table("psi-"))
+    maps = _bell_maps(unnorm / prob[..., None, None], "psi-")
     return maps, prob[()]
 
 
@@ -418,7 +421,6 @@ def required_filter_index(p: float, epsilon: float) -> int:
 
 @dataclass(frozen=True)
 class QuasiConclusiveResult:
-    filter_params: FilterParams
     n: int
     p_prime: float
     filter_success_prob: float
@@ -438,14 +440,12 @@ def quasi_conclusive_teleport(phi: PureState, p: float, epsilon: float) -> Quasi
     """
     n = required_filter_index(p, epsilon)
     p_prime = p_prime_after_filter(p, n)
-    fp = FilterParams.from_n(n)
     return QuasiConclusiveResult(
-        filter_params=fp,
         n=n,
         p_prime=p_prime,
         filter_success_prob=filter_success_probability(p, n),
         average_fidelity=max_teleport_fidelity(p_prime),
-        records=tuple(filtered_teleport_maps(p, fp)[0].records(phi)),
+        records=tuple(filtered_teleport_maps(p, FilterParams.from_n(n))[0].records(phi)),
     )
 
 

@@ -2,11 +2,13 @@
 
 Every protocol is recomputed here the long way: the 8x8 joint density
 matrix, Alice's Kraus operator kron(sqrt(A), I) on particles (1, 2), a
-partial trace down to Bob and his correction.  The uncorrected branches
-over a random pure resource are also recomputed as steering.  The sampler is checked
-against a per-block loop over the same records and generator, and against
-the binomial law of its success count.  The exact Haar averages read from
-the maps are checked against the six Pauli eigenstates and the dense channel.
+partial trace down to Bob and his correction.  The branches over a
+random pure resource, in any Bell frame, are also recomputed as steering
+followed by Bob's rotation, and the builders' invariants hold over random
+inputs.  The sampler is checked against a per-block loop over the same
+records and generator, and against the binomial law of its success count.
+The exact Haar averages read from the maps are checked against the six
+Pauli eigenstates and the dense channel.
 """
 
 import numpy as np
@@ -16,8 +18,14 @@ from hypothesis import strategies as st
 
 from teleportsim import cli
 from teleportsim import protocols as pr
-from teleportsim.linalg import kron, max_abs, partial_trace
-from teleportsim.povm import Povm, discrimination_povm
+from teleportsim.linalg import ATOL, kron, max_abs, partial_trace
+from teleportsim.povm import (
+    Povm,
+    completeness_residual,
+    discrimination_povm,
+    min_eigenvalue,
+    teleportation_povm,
+)
 from teleportsim.states import (
     BELL_LABELS,
     MINUS,
@@ -90,7 +98,7 @@ def assert_matches(records, reference):
 @given(phi=qubits(), resource=st.sampled_from(BELL_LABELS))
 def test_standard_over_every_bell_resource(phi, resource):
     table = pr.correction_table(resource)
-    records = pr.standard_teleport(phi, bell_state(resource), corrections=table)
+    records = pr.standard_teleport(phi, bell_state(resource), frame=resource)
     rho = bell_state(resource).density().matrix
     assert_matches(records, dense_branches(phi, rho, bell_elements(),
                                            [table[lbl] for lbl in BELL_LABELS]))
@@ -177,22 +185,57 @@ def test_filtered_maps_match_dense_filter(phi, p, n):
 
 
 @settings(max_examples=100, deadline=None)
-@given(phi=qubits(), seed=st.integers(0, 2**32 - 1))
-def test_teleportation_is_steering(phi, seed):
+@given(phi=qubits(), seed=st.integers(0, 2**32 - 1), frame=st.sampled_from(BELL_LABELS))
+def test_teleportation_is_steering(phi, seed, frame):
     # The paper's thesis: branch l of the Bell measurement over any pure
-    # resource R, uncorrected, is Alice steering R with the element
-    # <phi|_1 P_l |phi>_1 on particle 2.
+    # resource R is Alice steering R with the element <phi|_1 P_l |phi>_1
+    # on particle 2, followed by Bob's rotation U_l of the frame.
     resource = haar_random_state(4, np.random.default_rng(seed))
-    maps = pr.teleport_maps(resource, {lbl: np.eye(2) for lbl in BELL_LABELS})
+    maps = pr.teleport_maps(resource, frame=frame)
+    table = pr.correction_table(frame)
     v = phi.amplitudes
     elements = [np.einsum("b,byaz,a->yz", v.conj(), p.reshape(2, 2, 2, 2), v)
                 for p in bell_elements()]
     result = steer(resource, Povm(tuple(elements), BELL_LABELS))
-    bob_unnormalized = (maps.maps @ np.outer(v, v.conj()).reshape(4)).reshape(-1, 2, 2)
-    for branch, rho in zip(result.branches, bob_unnormalized):
-        assert abs(branch.probability - np.trace(rho).real) <= TOL
+    bob_corrected = (maps.maps @ np.outer(v, v.conj()).reshape(4)).reshape(-1, 2, 2)
+    for branch, rho in zip(result.branches, bob_corrected):
+        u = table[branch.label]
         bob = np.zeros(2) if branch.bob_state is None else branch.bob_state.amplitudes
-        assert max_abs(branch.probability * np.outer(bob, bob.conj()) - rho) <= TOL
+        steered = branch.probability * np.outer(bob, bob.conj())
+        assert max_abs(u @ steered @ u.conj().T - rho) <= TOL
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    phi=qubits(),
+    frame=st.sampled_from(BELL_LABELS),
+    seed=st.integers(0, 2**32 - 1),
+    a2=a_squared,
+    p=mixing,
+    n=st.floats(0.0, 6.0).map(lambda e: 10.0**e),
+)
+@example(phi=PureState(np.array([0.6, 0.8j])), frame="psi-", seed=0, a2=0.5, p=0.5, n=1.0)
+@example(phi=PureState(np.array([0.6, 0.8j])), frame="phi+", seed=1, a2=1.0, p=0.01, n=1e6)
+def test_builder_invariants(phi, frame, seed, a2, p, n):
+    # every builder's branches sum to 1; the conclusive ones that succeed
+    # sum to the closed form and are perfect; every POVM builder is a POVM
+    s = SchmidtPair.from_a_squared(a2)
+    conclusive = pr.conclusive_maps(s)
+    for maps in (
+        pr.teleport_maps(haar_random_state(4, np.random.default_rng(seed)), frame=frame),
+        pr.naive_maps(s),
+        conclusive,
+        pr.filtered_teleport_maps(p, pr.FilterParams.from_n(n))[0],
+    ):
+        prob, _ = maps.evaluate(phi.amplitudes[None])
+        assert abs(prob.sum() - 1.0) <= TOL
+    prob, fid = (v[0] for v in conclusive.evaluate(phi.amplitudes[None]))
+    assert abs(prob[conclusive.success].sum() - pr.conclusive_success_probability(s)) <= TOL
+    assert all(fid[conclusive.success & (prob > 0.0)] >= 1.0 - 1e-10)
+    for povm in (teleportation_povm(*phi.amplitudes),
+                 discrimination_povm(SchmidtPair.from_a_squared(np.array([0.5, a2, 1.0])))):
+        assert np.max(completeness_residual(povm.elements)) <= ATOL
+        assert np.min(min_eigenvalue(povm.elements)) >= -ATOL
 
 
 def reference_maps(elements, resource, corrections):
@@ -240,10 +283,10 @@ def test_split_kernel_is_bitwise_the_four_operand_contraction(seeds, a2s, ps, n)
         corrections = [table[lbl] for lbl in BELL_LABELS]
         for seed in seeds:
             v = haar_random_state(4, np.random.default_rng(seed)).amplitudes
-            assert_bitwise(pr.teleport_maps(PureState(v), table).maps,
+            assert_bitwise(pr.teleport_maps(PureState(v), frame=label).maps,
                            reference_maps(BELL_PROJECTORS, np.outer(v, v.conj()), corrections))
         for p in ps:
-            assert_bitwise(pr.teleport_maps(mixed_resource(p), table).maps,
+            assert_bitwise(pr.teleport_maps(mixed_resource(p), frame=label).maps,
                            reference_maps(BELL_PROJECTORS, mixed_resource(p).matrix, corrections))
     stack = SchmidtPair.from_a_squared(np.array(a2s))
     phi_plus = pr.correction_table("phi+")

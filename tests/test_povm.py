@@ -51,6 +51,11 @@ class TestTeleportationPovm:
         with pytest.raises(ValueError):
             pv.teleportation_povm(1.0, 1.0)
 
+    def test_weights_are_products(self):
+        # |alpha|^2 as a product; libm pow gives 3.6000000000000004e-09 here
+        p = pv.teleportation_povm(6e-05, 0.9999999982)
+        assert p.elements[0, 0, 0] == 3.6e-09 / 2
+
 
 class TestDiscriminationPovm:
     def test_equal_weights_has_no_inconclusive_outcome(self):

@@ -34,6 +34,8 @@ class TestCorrectionTable:
     def test_unknown_resource(self):
         with pytest.raises(ValueError):
             pr.correction_table("w-state")
+        with pytest.raises(ValueError, match="unknown resource label 'w-state'"):
+            pr.teleport_maps(bell_state("psi-"), frame="w-state")
 
     def test_shared_tables_cannot_be_changed(self):
         table = pr.correction_table("psi-")
@@ -65,9 +67,7 @@ class TestStandardTeleport:
         rng = np.random.default_rng(73)
         phi = haar_random_qubit(rng)
         for resource in BELL_LABELS:
-            records = pr.standard_teleport(
-                phi, bell_state(resource), corrections=pr.correction_table(resource)
-            )
+            records = pr.standard_teleport(phi, bell_state(resource), frame=resource)
             assert min(r.fidelity for r in records) > 1 - 1e-12
 
     def test_entangled_input(self):
@@ -159,7 +159,7 @@ class TestTwoStepBell:
         # At a = b the discrimination stage is the projective one, so the
         # split must reproduce Bell-measurement teleportation over phi+.
         split = pr.conclusive_maps(SchmidtPair(SQ2, SQ2))
-        bell = pr.teleport_maps(bell_state("phi+"), pr.correction_table("phi+"))
+        bell = pr.teleport_maps(bell_state("phi+"), frame="phi+")
         pairs = {
             "even:conclusive+": "phi+",
             "even:conclusive-": "phi-",
@@ -208,6 +208,9 @@ class TestConclusiveTeleport:
             records = pr.conclusive_teleport(phi, s)
             success = sum(r.probability for r in records if r.success)
             assert abs(success - pr.conclusive_success_probability(s)) < 1e-12
+        # squares are products: libm pow rounds a^2 here to give 0.997114
+        s = SchmidtPair.from_a_squared(0.501443)
+        assert pr.conclusive_success_probability(s) == 0.9971140000000001
 
     def test_prob_floor_near_product_resource(self):
         # PROB_FLOOR applies to each branch.  At a^2 = 1 - 1e-12 each of the
