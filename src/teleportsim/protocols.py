@@ -3,7 +3,8 @@
 Particle layout for a three-qubit run: particle 1 carries the unknown input
 and is the highest-order factor, particles 2 and 3 are the shared resource
 with 3 (Bob) lowest.  Alice's joint measurement on particles (1, 2) enters
-only through its POVM elements.
+only through its POVM elements.  Conclusive teleportation is her local
+filter on particle 2, then the Bell measurement.
 
 Every branch of a protocol (one outcome of Alice's measurement on particles
 (1, 2), then Bob's recovery rotation) acts on the input as one fixed linear
@@ -29,7 +30,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import PROB_FLOOR, dagger, kron, readonly
-from .povm import discrimination_povm
 from .states import (
     BELL_LABELS,
     MINUS,
@@ -306,28 +306,33 @@ def conclusive_success_probability(s: SchmidtPair) -> float:
     return 1.0 - (s.a * s.a - s.b * s.b)  # products, so no libm pow rounds them
 
 
+# Unit maps of the conclusive branches (see conclusive_maps): the Bell
+# measurement over the exact |phi+><phi+|, the bare parity check over |00><00|.
+_PARITY_CHECK = _branch_tensor(_in_parity_subspaces([np.eye(2)]), [np.eye(2)] * 2)
+_CONCLUSIVE_UNITS = readonly(np.concatenate([
+    _transfer_maps(_BELL_TENSORS["phi+"], np.outer([1, 0, 0, 1], [.5, 0, 0, .5])).reshape(2, 2, 4, 4),
+    _transfer_maps(_PARITY_CHECK, np.diag([1.0, 0, 0, 0]))[:, None]], axis=1).reshape(6, 4, 4))
+_CONCLUSIVE_LABELS = tuple(f"{parity}:{outcome}" for parity in ("even", "odd")
+                           for outcome in ("conclusive+", "conclusive-", "inconclusive"))
+
+
 def conclusive_maps(s: SchmidtPair) -> TransferMaps:
-    """Branch maps of the conclusive protocol over a|00> + b|11>: inside
-    each parity subspace of particles (1, 2), the unambiguous
-    discrimination POVM for (a, b) vs (a, -b) in place of the diagonal
-    basis.  Its conclusive outcomes are corrected as the Bell outcomes they
-    replace over the phi+ resource; inconclusive branches get no
-    correction."""
-    disc = discrimination_povm(s)
-    labels = tuple(f"{name}:{label}" for name in ("even", "odd") for label in disc.labels)
-    corrections = [_ROTATIONS[2 * k + j] if j < 2 else _ROTATIONS[0]
-                   for k in range(2) for j in range(3)]
-    tensor = _branch_tensor(_in_parity_subspaces(disc.elements), corrections)
-    maps = _transfer_maps(tensor, _schmidt_resources(s))
-    return TransferMaps(labels, maps, _CONCLUSIVE_SUCCESS, 3)
+    """Branch maps of the conclusive protocol over a|00> + b|11>, for one
+    Schmidt pair or a stack: Alice's filter diag(b/a, 1) on particle 2
+    leaves sqrt(2) b |phi+>, teleported in the phi+ frame, and its failure
+    sqrt(a^2 - b^2) |00>, split by the parity check with no correction
+    (Bennett, Bernstein, Popescu & Schumacher, PRA 53, 2046 (1996)).  This
+    is the paper's discrimination of (a, b) vs (a, -b) in each subspace."""
+    conclusive, failure = 2.0 * (s.b * s.b), s.a * s.a - s.b * s.b  # products, not libm pow
+    w = np.stack([conclusive, conclusive, failure] * 2, axis=-1)
+    return TransferMaps(_CONCLUSIVE_LABELS, readonly(w[..., None, None] * _CONCLUSIVE_UNITS),
+                        _CONCLUSIVE_SUCCESS, 3)
 
 
 def conclusive_teleport(phi: PureState, s: SchmidtPair) -> list[ProtocolRecord]:
-    """Teleportation over a|00> + b|11> that is perfect whenever it succeeds.
-
-    The Bell measurement's second stage is replaced inside each parity
-    subspace by the unambiguous discrimination POVM for (a, b) vs (a, -b).
-    Conclusive branches deliver the input exactly after the recovery
+    """Teleportation over a|00> + b|11> that is perfect whenever it succeeds:
+    ``conclusive_maps``, Alice's filter then the Bell measurement, on one
+    input.  Conclusive branches deliver the input exactly after the recovery
     rotation; inconclusive branches are flagged unsuccessful and report the
     fidelity of Bob's uncorrected state.  The total success probability is
     1 - (a^2 - b^2), independent of the input.

@@ -35,7 +35,8 @@ class PureState:
 
     def __post_init__(self):
         v = as_complex_vector(self.amplitudes)
-        norm2 = float(np.sum(np.abs(v) ** 2))
+        with np.errstate(over="ignore"):  # an overflowing norm is inf, rejected below
+            norm2 = float(np.sum(np.abs(v) ** 2))
         if abs(norm2 - 1.0) > ATOL:
             raise ValueError(f"state not normalized: sum |amp|^2 = {norm2!r}")
         object.__setattr__(self, "amplitudes", readonly(v))

@@ -352,9 +352,16 @@ class TestExitCodes:
         assert run_cli(["quasi", "--p", "0.5", "--n", "1e19"]) == 2
         assert run_cli(["quasi", "--p", "0.5", "--n", "1e17"]) == 0
 
-    def test_unnormalized_phi_exits_two(self):
+    def test_unnormalized_phi_exits_two(self, capsys):
         for command in ("naive", "quasi", "steer", "povm-check"):
             assert run_cli([command, "--alpha-re", "1", "--beta-re", "1"]) == 2
+        # a squared amplitude that overflows is one error line, not a warning
+        for argv in (["steer", "--alpha-re=1e308"], ["quasi", "--beta-re=1e308"],
+                     ["povm-check", "--beta-re=1e308"]):
+            capsys.readouterr()
+            assert run_cli(argv) == 2
+            err = capsys.readouterr().err.splitlines()
+            assert len(err) == 1 and err[0].startswith("error: "), (argv, err)
 
     def test_unwritable_path_exits_one(self, tmp_path):
         target = tmp_path / "missing_dir" / "out.csv"

@@ -5,15 +5,18 @@ matrix, Alice's Kraus operator kron(sqrt(A), I) on particles (1, 2), a
 partial trace down to Bob and his correction.  The branches over a
 random pure resource, in any Bell frame, are also recomputed as steering
 followed by Bob's rotation, and the builders' invariants hold over random
-inputs.  The sampler is checked against a per-block loop over the same
-records and generator, and against the binomial law of its success count.
+inputs.  The conclusive maps, Alice's filter then the Bell measurement, are
+checked against the paper's discrimination construction, and the filter
+makes random pure resources teleport perfectly.  The sampler is checked
+against a per-block loop over the same records and generator, and against
+the binomial law of its success count.
 The exact Haar averages read from the maps are checked against the six
 Pauli eigenstates and the dense channel.
 """
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from teleportsim import cli
@@ -37,6 +40,7 @@ from teleportsim.states import (
     haar_random_state,
     mixed_resource,
     partially_entangled,
+    schmidt_coeffs,
 )
 from teleportsim.steering import steer
 
@@ -262,6 +266,19 @@ BELL_PROJECTORS = parity_embedding(
 )
 
 
+# Conclusive teleportation as Alice's filter diag(b/a, 1), then the Bell
+# measurement: per parity, the Bell maps over the exact |phi+><phi+| (entries
+# 0.5, not bell_state("phi+")'s 0.4999999999999999) for the two conclusive
+# branches, and the uncorrected parity check over |00><00| for the filter's
+# failure.  Weighted by 2 b^2 and a^2 - b^2, these are the conclusive maps.
+_BELL_UNITS = reference_maps(BELL_PROJECTORS, np.outer([1, 0, 0, 1], [0.5, 0, 0, 0.5]),
+                             [pr.correction_table("phi+")[lbl] for lbl in BELL_LABELS])
+_CHECK_UNITS = reference_maps(parity_embedding([np.eye(2)]), np.diag([1.0, 0, 0, 0]),
+                              [np.eye(2)] * 2)
+CONCLUSIVE_UNITS = np.array([_BELL_UNITS[0], _BELL_UNITS[1], _CHECK_UNITS[0],
+                             _BELL_UNITS[2], _BELL_UNITS[3], _CHECK_UNITS[1]])
+
+
 def assert_bitwise(maps, reference):
     assert maps.shape == reference.shape
     assert maps.tobytes() == reference.tobytes()
@@ -295,10 +312,9 @@ def test_split_kernel_is_bitwise_the_four_operand_contraction(seeds, a2s, ps, n)
         rho = partially_entangled(s).density().matrix
         assert_bitwise(maps, reference_maps(BELL_PROJECTORS, rho,
                                             [phi_plus[lbl] for lbl in BELL_LABELS]))
-        disc = parity_embedding(discrimination_povm(s).elements)
-        corrections = [_RECOVERY.get((name, label), np.eye(2))
-                       for name in ("even", "odd") for label in discrimination_povm(s).labels]
-        assert_bitwise(pr.conclusive_maps(s).maps, reference_maps(disc, rho, corrections))
+        conclusive, failure = 2.0 * (s.b * s.b), s.a * s.a - s.b * s.b
+        weights = np.array([conclusive, conclusive, failure] * 2)
+        assert_bitwise(pr.conclusive_maps(s).maps, weights[:, None, None] * CONCLUSIVE_UNITS)
     fp = pr.FilterParams.from_n(n)
     psi_minus = pr.correction_table("psi-")
     filtered, _ = pr.filtered_teleport_maps(np.array(ps), fp)
@@ -308,6 +324,30 @@ def test_split_kernel_is_bitwise_the_four_operand_contraction(seeds, a2s, ps, n)
         unnorm = mixed_resource(p).matrix * np.multiply.outer(w, w)
         assert_bitwise(maps, reference_maps(BELL_PROJECTORS, unnorm / np.trace(unnorm).real,
                                             [psi_minus[lbl] for lbl in BELL_LABELS]))
+
+
+@settings(max_examples=60, deadline=None)
+@given(a2s=st.lists(a_squared, min_size=1, max_size=8))
+@example(a2s=[0.5])
+@example(a2s=[1.0])
+@example(a2s=[1 - 1e-12])
+def test_filter_then_bell_is_the_discrimination_construction(a2s):
+    # The paper's construction, the discrimination POVM of (a, b) vs
+    # (a, -b) inside each parity subspace with the Bell corrections, and the
+    # library's filter-then-Bell reading check each other; a stack of pairs
+    # is its scalar calls, bit for bit.
+    stack = pr.conclusive_maps(SchmidtPair.from_a_squared(np.array(a2s)))
+    for a2, maps in zip(a2s, stack.maps):
+        s = SchmidtPair.from_a_squared(a2)
+        disc = discrimination_povm(s)
+        labels = [(name, label) for name in ("even", "odd") for label in disc.labels]
+        reference = reference_maps(parity_embedding(disc.elements),
+                                   partially_entangled(s).density().matrix,
+                                   [_RECOVERY.get(key, np.eye(2)) for key in labels])
+        scalar = pr.conclusive_maps(s)
+        assert scalar.labels == stack.labels == tuple(f"{n}:{lbl}" for n, lbl in labels)
+        assert max_abs(scalar.maps - reference) <= 1e-15
+        assert_bitwise(maps, scalar.maps)
 
 
 def dense_entanglement_fidelity(rho):
@@ -383,6 +423,27 @@ def test_conclusive_success_is_optimal(a2):
     entanglement, average = pr.conclusive_maps(s).haar_averages()
     assert abs(entanglement - 1.0) <= 1e-14
     assert abs(average - 1.0) <= 1e-14
+
+
+@settings(max_examples=60, deadline=None)
+@given(phi=qubits(), seed=st.integers(0, 2**32 - 1))
+def test_filter_makes_any_pure_resource_teleport(phi, seed):
+    # The abstract's "any pure entangled state": write the resource's
+    # amplitude matrix as U diag(a, b) Vh.  Alice's filter U diag(b/a, 1) U^dag
+    # on particle 2 and Bob's fixed rotation conj(U Vh) on particle 3 leave
+    # sqrt(2) b |phi+>, with squared norm the closed form 1 - (a^2 - b^2),
+    # and teleporting over it in the phi+ frame is perfect on every branch.
+    resource = haar_random_state(4, np.random.default_rng(seed))
+    u, (a, b), vh = np.linalg.svd(resource.amplitudes.reshape(2, 2))
+    assume(b > 1e-3)
+    filtered = kron(u @ np.diag([b / a, 1.0]) @ u.conj().T, (u @ vh).conj()) @ resource.amplitudes
+    assert max_abs(filtered - np.sqrt(2) * b * bell_state("phi+").amplitudes) <= TOL
+    norm2 = np.vdot(filtered, filtered).real
+    assert abs(norm2 - pr.conclusive_success_probability(schmidt_coeffs(resource))) <= TOL
+    maps = pr.teleport_maps(PureState(filtered / np.sqrt(norm2)), frame="phi+")
+    prob, fid = maps.evaluate(phi.amplitudes[None])
+    assert abs(prob.sum() - 1.0) <= TOL
+    assert np.all(fid >= 1.0 - TOL)
 
 
 def block_monte_carlo(s, trials, seed):

@@ -153,7 +153,8 @@ class TestNaivePartialTeleport:
 class TestTwoStepBell:
     """The Bell measurement split into a parity check on particles (1, 2)
     and a second stage inside the parity subspace; ``conclusive_maps`` is
-    that split with unambiguous discrimination as the second stage."""
+    Alice's filter diag(b/a, 1) on particle 2, then that measurement, which
+    equals unambiguous discrimination as the second stage."""
 
     def test_composition_reproduces_bell_statistics(self):
         # At a = b the discrimination stage is the projective one, so the

@@ -1,5 +1,7 @@
 """Analytic sweeps run as one batch: a point's row must not depend on the
-sweep it sits in, and a sweep of the largest accepted length stays small."""
+sweep it sits in, and a sweep of the largest accepted length stays small.
+A ``conclusive`` row must not depend on its sweep either: every point
+draws from its own generator keyed by (seed, 0)."""
 
 import contextlib
 import io
@@ -19,6 +21,7 @@ SWEEPS = [
     ("steer --basis diagonal", "--a2", A2_GRID, 2, 0),
     ("steer --basis rectilinear", "--a2", A2_GRID, 2, 0),
     ("povm-check", "--a2", A2_GRID, 1, 1),
+    ("conclusive --trials 200 --seed 3", "--a2", A2_GRID, 1, 0),
 ]
 
 
