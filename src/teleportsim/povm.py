@@ -123,7 +123,8 @@ def discrimination_povm(s: SchmidtPair) -> Povm:
 
 def _check_projective_set(projectors: Sequence[np.ndarray]) -> np.ndarray:
     # Povm checks shape, PSD and completeness.  Orthogonality is checked
-    # explicitly: it follows from the others only to about sqrt(ATOL).
+    # explicitly: as P0 P1 = P0 - P0^2 + P0 (I - P0 - P1), idempotency and
+    # completeness within ATOL bound the cross products only to about 2 ATOL.
     mats = Povm(tuple(projectors), tuple(map(str, range(len(projectors))))).elements
     for i, m in enumerate(mats):
         if max_abs(m @ m - m) > ATOL:

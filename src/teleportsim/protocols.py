@@ -10,8 +10,8 @@ Every branch of a protocol (one outcome of Alice's measurement on particles
 (1, 2), then Bob's recovery rotation) acts on the input as one fixed linear
 map, set by the measurement element, the resource and the correction.
 ``TransferMaps`` holds these maps for all branches and evaluates branch
-probabilities and fidelities for a whole batch of inputs at once; the
-per-input protocol functions are views over it.  The maps are linear in the
+probabilities and fidelities for a whole batch of inputs at once, or as
+one record per branch for a single input.  The maps are linear in the
 resource, so a whole sweep of resources is one contraction, and one
 resource is a stack of one.
 
@@ -110,7 +110,6 @@ class ProtocolRecord:
     probability: float
     fidelity: float
     success: bool
-    classical_bits: int = 2
 
 
 @dataclass(frozen=True)
@@ -136,6 +135,7 @@ class TransferMaps:
     success: np.ndarray
     """Per branch: whether the branch is a success when it occurs."""
     classical_bits: int
+    """Bits Alice sends Bob per run: 2 for a Bell outcome, 3 for a conclusive one."""
 
     def evaluate(self, phis: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Branch probabilities and fidelities, each of shape (inputs, ...,
@@ -156,7 +156,7 @@ class TransferMaps:
             raise ValueError("input state must be a single qubit")
         prob, fid = self.evaluate(phi.amplitudes[None, :])
         return [
-            ProtocolRecord(label, float(p), float(f), bool(ok and p > 0.0), self.classical_bits)
+            ProtocolRecord(label, float(p), float(f), bool(ok and p > 0.0))
             for label, p, f, ok in zip(self.labels, prob[0], fid[0], self.success)
         ]
 
@@ -245,19 +245,6 @@ class FilterParams:
         return float(1.0 / np.sqrt(self.n))
 
 
-def standard_teleport(
-    phi: PureState, resource: PureState | DensityMatrix, frame: str = "psi-"
-) -> list[ProtocolRecord]:
-    """Teleport ``phi`` over a two-qubit resource via a Bell measurement on
-    particles (1, 2), then the recovery rotation in Bell frame ``frame``.
-
-    With the singlet resource every branch occurs with probability 1/4 and
-    reaches fidelity one after correction.  A density-matrix resource (used
-    after filtering) runs through the same branch maps.
-    """
-    return teleport_maps(resource, frame).records(phi)
-
-
 def _input_weights(phi: PureState) -> tuple[float, float]:
     alpha, beta = abs(phi.amplitudes[0]), abs(phi.amplitudes[1])
     return alpha * alpha, beta * beta
@@ -294,14 +281,7 @@ def naive_maps(s: SchmidtPair) -> TransferMaps:
     return _bell_maps(_schmidt_resources(s), "phi+")
 
 
-def naive_partial_teleport(phi: PureState, s: SchmidtPair) -> list[ProtocolRecord]:
-    """Bell-measurement teleportation over the partially entangled resource
-    a|00> + b|11>.  Branch statistics depend on the input and the resource;
-    the fidelity reaches one only at a = b."""
-    return naive_maps(s).records(phi)
-
-
-def conclusive_success_probability(s: SchmidtPair) -> float:
+def conclusive_success_probability(s: SchmidtPair) -> float | np.ndarray:
     """Closed-form success probability 1 - (a^2 - b^2) of the conclusive protocol."""
     return 1.0 - (s.a * s.a - s.b * s.b)  # products, so no libm pow rounds them
 
@@ -329,23 +309,12 @@ def conclusive_maps(s: SchmidtPair) -> TransferMaps:
                         _CONCLUSIVE_SUCCESS, 3)
 
 
-def conclusive_teleport(phi: PureState, s: SchmidtPair) -> list[ProtocolRecord]:
-    """Teleportation over a|00> + b|11> that is perfect whenever it succeeds:
-    ``conclusive_maps``, Alice's filter then the Bell measurement, on one
-    input.  Conclusive branches deliver the input exactly after the recovery
-    rotation; inconclusive branches are flagged unsuccessful and report the
-    fidelity of Bob's uncorrected state.  The total success probability is
-    1 - (a^2 - b^2), independent of the input.
-    """
-    return conclusive_maps(s).records(phi)
-
-
-def p_prime_after_filter(p: float, n: float) -> float:
+def p_prime_after_filter(p: float | np.ndarray, n: float) -> float | np.ndarray:
     """Closed-form singlet fraction after a successful bilocal filter."""
     return 1.0 / (1.0 + (1.0 - p) / (n * p))
 
 
-def filter_success_probability(p: float, n: float) -> float:
+def filter_success_probability(p: float | np.ndarray, n: float) -> float | np.ndarray:
     """Closed-form probability that both local filters succeed."""
     return (1.0 + (n - 1.0) * p) / (n * n)
 
@@ -381,10 +350,10 @@ def filtered_teleport_maps(p, fp: FilterParams) -> tuple[TransferMaps, float | n
     return maps, prob[()]
 
 
-def max_teleport_fidelity(f: float) -> float:
+def max_teleport_fidelity(f: float | np.ndarray) -> float | np.ndarray:
     """Best average teleportation fidelity (2F + 1) / 3 attainable from a
-    resource with singlet fraction F."""
-    if not all(0.0 <= x <= 1.0 for x in np.ravel(f)):
+    resource with singlet fraction F, or from each of an array of them."""
+    if not np.logical_and(0.0 <= f, f <= 1.0).all():  # a nan fails both comparisons
         raise ValueError(f"singlet fraction must lie in [0, 1], got {f!r}")
     return (2.0 * f + 1.0) / 3.0
 
@@ -422,36 +391,6 @@ def required_filter_index(p: float, epsilon: float) -> int:
         mid = (lo + hi) // 2
         lo, hi = (lo, mid) if meets(mid) else (mid, hi)
     return hi
-
-
-@dataclass(frozen=True)
-class QuasiConclusiveResult:
-    n: int
-    p_prime: float
-    filter_success_prob: float
-    average_fidelity: float
-    records: tuple[ProtocolRecord, ...]
-
-
-def quasi_conclusive_teleport(phi: PureState, p: float, epsilon: float) -> QuasiConclusiveResult:
-    """Filtered teleportation over the singlet/|00> mixture.
-
-    Picks the minimal filter index n whose post-filter singlet fraction
-    yields average fidelity at least 1 - epsilon, then teleports through
-    the filtered maps (two-way confirmation of the filter assumed free).
-    The records are given that the filter passed; the figures of merit are
-    closed forms.  Higher target fidelity costs success probability: the
-    filter success probability decreases toward zero as epsilon shrinks.
-    """
-    n = required_filter_index(p, epsilon)
-    p_prime = p_prime_after_filter(p, n)
-    return QuasiConclusiveResult(
-        n=n,
-        p_prime=p_prime,
-        filter_success_prob=filter_success_probability(p, n),
-        average_fidelity=max_teleport_fidelity(p_prime),
-        records=tuple(filtered_teleport_maps(p, FilterParams.from_n(n))[0].records(phi)),
-    )
 
 
 def trial_rng(seed: int, index: int) -> np.random.Generator:

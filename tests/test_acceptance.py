@@ -3,6 +3,8 @@ stated tolerance and prints a PASS/FAIL line (visible with ``pytest -s``)."""
 
 import csv
 import io
+import json
+from contextlib import redirect_stdout
 
 import numpy as np
 
@@ -37,12 +39,12 @@ def _random_unit_pair(rng):
 
 def test_criterion_1_standard_teleportation_exactness():
     rng = np.random.default_rng(2024)
-    singlet = bell_state("psi-")
+    maps = pr.teleport_maps(bell_state("psi-"))
     max_prob_dev = 0.0
     min_fid = 1.0
     for _ in range(500):
         phi = haar_random_qubit(rng)
-        for rec in pr.standard_teleport(phi, singlet):
+        for rec in maps.records(phi):
             max_prob_dev = max(max_prob_dev, abs(rec.probability - 0.25))
             min_fid = min(min_fid, rec.fidelity)
     ok = max_prob_dev <= 1e-10 and min_fid >= 1 - 1e-10
@@ -132,16 +134,17 @@ def test_criterion_4_naive_partial_branch_statistics():
     worst = 0.0
     for a2 in np.arange(0.5, 1.0 + 1e-9, 0.1):
         s = SchmidtPair.from_a_squared(float(a2))
+        maps = pr.naive_maps(s)
         for _ in range(50):
             phi = haar_random_qubit(rng)
-            rec = pr.naive_partial_teleport(phi, s)[0]
+            rec = maps.records(phi)[0]
             worst = max(
                 worst,
                 abs(rec.probability - pr.naive_phi_plus_probability(phi, s)),
                 abs(rec.fidelity - pr.naive_phi_plus_fidelity(phi, s)),
             )
     phi = qubit(1 / np.sqrt(2), 1 / np.sqrt(2))
-    spot = pr.naive_partial_teleport(phi, SchmidtPair.from_a_squared(0.8))[0]
+    spot = pr.naive_maps(SchmidtPair.from_a_squared(0.8)).records(phi)[0]
     spot_ok = abs(spot.fidelity - 0.9) < 1e-10 and abs(spot.probability - 0.25) < 1e-10
     ok = worst < 1e-10 and spot_ok
     assert _report(
@@ -158,9 +161,10 @@ def test_criterion_5_conclusive_teleportation():
     worst_success_dev = 0.0
     for a2 in np.linspace(0.5, 0.99, 8):
         s = SchmidtPair.from_a_squared(float(a2))
+        maps = pr.conclusive_maps(s)
         for _ in range(10):
             phi = haar_random_qubit(rng)
-            records = pr.conclusive_teleport(phi, s)
+            records = maps.records(phi)
             success = sum(r.probability for r in records if r.success)
             worst_success_dev = max(
                 worst_success_dev, abs(success - pr.conclusive_success_probability(s))
@@ -199,10 +203,16 @@ def test_criterion_6_quasi_conclusive_filtering():
     spot_ok = (
         abs(pr.p_prime_after_filter(0.5, 4) - 0.8) < 1e-12 and abs(prob - 0.15625) < 1e-12
     )
-    phi = qubit(0.6, 0.8)
-    results = [pr.quasi_conclusive_teleport(phi, 0.5, eps) for eps in (0.1, 0.01, 0.001)]
-    closeness_ok = all(r.average_fidelity >= 1 - eps for r, eps in zip(results, (0.1, 0.01, 0.001)))
-    succ = [r.filter_success_prob for r in results]
+    # the planner's rows as the CLI prints them
+    rows = []
+    for eps in (0.1, 0.01, 0.001):
+        out = io.StringIO()
+        with redirect_stdout(out):
+            assert cli.main(["quasi", "--p", "0.5", "--epsilon", repr(eps),
+                             "--format", "json"]) == 0
+        rows += json.loads(out.getvalue())
+    closeness_ok = all(r["avg_fidelity"] >= 1 - eps for r, eps in zip(rows, (0.1, 0.01, 0.001)))
+    succ = [r["success_prob"] for r in rows]
     decreasing_ok = succ[0] > succ[1] > succ[2] > 0
     ok = worst_state < 1e-12 and worst_prob < 1e-12 and spot_ok and closeness_ok and decreasing_ok
     assert _report(

@@ -1,12 +1,16 @@
+import contextlib
 import csv
 import hashlib
 import io
 import json
 import re
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from teleportsim import cli, protocols
 from teleportsim.states import SchmidtPair, bell_state, haar_random_qubit, qubit
@@ -258,7 +262,7 @@ class TestCommands:
         fids, devs = [], []
         for t in range(50):
             phi = haar_random_qubit(protocols.trial_rng(3, t))
-            for rec in protocols.standard_teleport(phi, bell_state("psi-")):
+            for rec in protocols.teleport_maps(bell_state("psi-")).records(phi):
                 fids.append(rec.fidelity)
                 devs.append(abs(rec.probability - 0.25))
         assert float(row["max_prob_deviation"]) == max(devs)
@@ -369,6 +373,98 @@ class TestExitCodes:
 
     def test_success_exit_zero(self):
         assert run_cli(["quasi", "--p", "0.5", "--n", "4", "--out", "-"]) == 0
+
+
+# Flag values at the edges of float parsing and of each domain: subnormals,
+# signed zeros, the overflow threshold, non-finite values, 2^62 +- 1 and
+# GRID_TOL offsets of the domain bounds, beside ordinary values.
+EDGE_FLOATS = (
+    "5e-324", "1e-310", "0", "-0", "-0.0", "1e308", "-1e308", "nan", "inf", "-inf",
+    str(2**62 - 1), str(2**62 + 1), "0.5", "0.6", "0.8", "1", "-1", "1e-13",
+    repr(0.5 - cli.GRID_TOL / 2), repr(0.5 - 2 * cli.GRID_TOL),
+    repr(1.0 + cli.GRID_TOL / 2), repr(1.0 + 2 * cli.GRID_TOL),
+    repr(cli.GRID_TOL), repr(1.0 - cli.GRID_TOL),
+)
+# Steps of 0.1 or more keep every sweep that passes its domain check short.
+STEPS = ("0.1", "0.25", "0.5", "1", "0", "-0.25", "nan", "inf", "1e-15", "5e-324",
+         repr(cli.GRID_TOL))
+INTS = ("0", "1", "7", "-1", str(2**62 - 1), str(2**62 + 1), str(2**64 - 1), str(2**64),
+        "1e3", "nan")
+
+floats = st.sampled_from(EDGE_FLOATS)
+sweeps = st.one_of(
+    floats,
+    st.tuples(floats, floats, st.sampled_from(STEPS)).map(":".join),
+    st.sampled_from(["0.5:1", "", "x"]),
+)
+ints = st.sampled_from(INTS)
+PHI_FLAGS = {f: floats for f in ("--alpha-re", "--alpha-im", "--beta-re", "--beta-im")}
+SAMPLING = {"--seed": ints, "--trials": ints}
+COMMAND_FLAGS = {
+    "teleport": SAMPLING,
+    "naive": {"--a2": sweeps, **PHI_FLAGS},
+    "conclusive": {"--a2": sweeps, **SAMPLING},
+    "quasi": {"--p": sweeps, "--n": floats, "--epsilon": floats, **PHI_FLAGS},
+    "steer": {"--a2": sweeps, "--basis": st.sampled_from(["diagonal", "rectilinear", "polar"]),
+              **PHI_FLAGS},
+    "povm-check": {"--a2": sweeps, **PHI_FLAGS},
+}
+
+
+@st.composite
+def argvs(draw):
+    """A command, a subset of its flags (with --format) and their values,
+    each flag as ``--flag value`` or ``--flag=value``."""
+    command = draw(st.sampled_from(sorted(COMMAND_FLAGS)))
+    optional = dict(COMMAND_FLAGS[command], **{"--format": st.sampled_from(["csv", "json"])})
+    argv = [command]
+    for flag, value in draw(st.fixed_dictionaries({}, optional=optional)).items():
+        argv += [f"{flag}={value}"] if draw(st.booleans()) else [flag, value]
+    return argv
+
+
+def expected_rows(args):
+    """Rows of a successful run: one per sweep point, one per branch for steer."""
+    if args.command == "teleport":
+        return 1
+    if args.command == "quasi":
+        return len(cli.parse_range(args.p))
+    points = len(cli.parse_range(args.a2)) if args.a2 is not None else 0
+    if args.command == "steer":
+        return 2 * points if points else 4
+    return 1 + points if args.command == "povm-check" else points
+
+
+@settings(max_examples=300, deadline=None)
+@given(argv=argvs())
+def test_cli_contract_on_generated_argv(argv):
+    # exit 0 with a well-formed table, exit 2 with one error line, or
+    # argparse's SystemExit(2); no other exception and no warning escapes
+    out, err = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings(), contextlib.redirect_stdout(out), \
+            contextlib.redirect_stderr(err):
+        warnings.simplefilter("error")
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:
+            assert exc.code == 2, argv
+            return
+    assert code in (0, 2), argv
+    if code == 2:
+        lines = err.getvalue().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: "), (argv, lines)
+        assert out.getvalue() == ""
+        return
+    args = cli.build_parser().parse_args(argv)
+    if args.format == "csv":
+        lines = out.getvalue().splitlines()
+        assert lines[0] == cli.SCHEMA_COMMENT
+        header, *rows = csv.reader(lines[1:])
+        assert all(len(row) == len(header) for row in rows), argv
+    else:
+        rows = json.loads(out.getvalue())
+        assert all(list(row) == list(rows[0]) for row in rows), argv
+    assert len(rows) == expected_rows(args), argv
 
 
 class TestParser:

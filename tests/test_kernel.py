@@ -102,7 +102,7 @@ def assert_matches(records, reference):
 @given(phi=qubits(), resource=st.sampled_from(BELL_LABELS))
 def test_standard_over_every_bell_resource(phi, resource):
     table = pr.correction_table(resource)
-    records = pr.standard_teleport(phi, bell_state(resource), frame=resource)
+    records = pr.teleport_maps(bell_state(resource), frame=resource).records(phi)
     rho = bell_state(resource).density().matrix
     assert_matches(records, dense_branches(phi, rho, bell_elements(),
                                            [table[lbl] for lbl in BELL_LABELS]))
@@ -117,7 +117,7 @@ def test_naive_over_partial_resource(phi, a2):
     s = SchmidtPair.from_a_squared(a2)
     table = pr.correction_table("phi+")
     rho = partially_entangled(s).density().matrix
-    assert_matches(pr.naive_partial_teleport(phi, s),
+    assert_matches(pr.naive_maps(s).records(phi),
                    dense_branches(phi, rho, bell_elements(), [table[lbl] for lbl in BELL_LABELS]))
 
 
@@ -146,7 +146,7 @@ def test_conclusive_over_partial_resource(phi, a2):
             labels.append(f"{name}:{label}")
             elements.append(t @ a @ t.conj().T)
             corrections.append(_RECOVERY.get((name, label), np.eye(2)))
-    records = pr.conclusive_teleport(phi, s)
+    records = pr.conclusive_maps(s).records(phi)
     assert [r.outcome_label for r in records] == labels
     rho = partially_entangled(s).density().matrix
     assert_matches(records, dense_branches(phi, rho, elements, corrections))
@@ -161,7 +161,7 @@ def test_standard_over_filtered_mixture(phi, p, n):
     table = pr.correction_table("psi-")
     filtered, _ = pr.bilocal_filter(mixed_resource(p), pr.FilterParams.from_n(n))
     for rho in (mixed_resource(p), filtered):
-        assert_matches(pr.standard_teleport(phi, rho),
+        assert_matches(pr.teleport_maps(rho).records(phi),
                        dense_branches(phi, rho.matrix, bell_elements(),
                                       [table[lbl] for lbl in BELL_LABELS]))
 
@@ -456,8 +456,9 @@ def block_monte_carlo(s, trials, seed):
     v = rng.normal(size=(blocks, 2)) + 1j * rng.normal(size=(blocks, 2))
     successes = wrong = 0
     min_fid = 1.0
+    maps = pr.conclusive_maps(s)
     for size, row in zip(sizes, v):
-        records = pr.conclusive_teleport(PureState(row / np.linalg.norm(row)), s)
+        records = maps.records(PureState(row / np.linalg.norm(row)))
         probs = np.array([r.probability for r in records])
         counts = rng.multinomial(size, probs / probs.sum())
         for r, k in zip(records, counts):

@@ -158,6 +158,21 @@ class TestInducedPovm:
         with pytest.raises(ValueError):
             pv.induced_povm(projs, qubit(1, 0).density())
 
+    def test_rejects_cross_product_only_orthogonality_sees(self):
+        # Both near-projectors pass the PSD, idempotency and completeness
+        # checks within 0.999 ATOL, yet after the Hadamard rotation their
+        # product has an entry of 1.4985 ATOL: only the orthogonality check
+        # rejects the pair.
+        c = 0.999 * ATOL
+        b = np.sqrt(c)
+        p0 = np.array([[1.0, b], [b, 0.0]])
+        p1 = np.eye(2) - p0 + np.array([[0.0, -c], [-c, 0.0]])
+        h = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2)
+        projs = [h @ p @ h for p in (p0, p1)]
+        assert linalg.max_abs(projs[0] @ projs[1]) > 1.4 * ATOL
+        with pytest.raises(ValueError, match="projectors 0 and 1 are not orthogonal"):
+            pv.induced_povm(projs, qubit(1, 0).density())
+
 
 class TestMeasure:
     def test_teleportation_on_maximally_mixed(self):

@@ -1,8 +1,13 @@
+import contextlib
+import io
+import json
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from teleportsim import cli
 from teleportsim import protocols as pr
 from teleportsim.linalg import kron, max_abs
 from teleportsim.states import (
@@ -46,18 +51,19 @@ class TestCorrectionTable:
 
 class TestStandardTeleport:
     def test_computational_input_over_singlet(self):
-        records = pr.standard_teleport(qubit(1, 0), bell_state("psi-"))
+        maps = pr.teleport_maps(bell_state("psi-"))
+        records = maps.records(qubit(1, 0))
         assert [r.outcome_label for r in records] == list(BELL_LABELS)
         for r in records:
             assert abs(r.probability - 0.25) < 1e-12
             assert r.fidelity > 1 - 1e-12
-            assert r.classical_bits == 2
+        assert maps.classical_bits == 2
 
     def test_random_inputs_over_singlet(self):
         rng = np.random.default_rng(71)
         for _ in range(50):
             phi = haar_random_qubit(rng)
-            records = pr.standard_teleport(phi, bell_state("psi-"))
+            records = pr.teleport_maps(bell_state("psi-")).records(phi)
             total = sum(r.probability for r in records)
             assert abs(total - 1.0) < 1e-12
             assert min(r.fidelity for r in records) > 1 - 1e-10
@@ -67,7 +73,7 @@ class TestStandardTeleport:
         rng = np.random.default_rng(73)
         phi = haar_random_qubit(rng)
         for resource in BELL_LABELS:
-            records = pr.standard_teleport(phi, bell_state(resource), frame=resource)
+            records = pr.teleport_maps(bell_state(resource), frame=resource).records(phi)
             assert min(r.fidelity for r in records) > 1 - 1e-12
 
     def test_entangled_input(self):
@@ -96,15 +102,15 @@ class TestStandardTeleport:
     def test_density_matrix_resource_matches_pure_path(self):
         rng = np.random.default_rng(79)
         phi = haar_random_qubit(rng)
-        pure_records = pr.standard_teleport(phi, bell_state("psi-"))
-        mixed_records = pr.standard_teleport(phi, bell_state("psi-").density())
+        pure_records = pr.teleport_maps(bell_state("psi-")).records(phi)
+        mixed_records = pr.teleport_maps(bell_state("psi-").density()).records(phi)
         for a, b in zip(pure_records, mixed_records):
             assert abs(a.probability - b.probability) < 1e-12
             assert abs(a.fidelity - b.fidelity) < 1e-12
 
     def test_input_dimension_checked(self):
         with pytest.raises(ValueError):
-            pr.standard_teleport(bell_state("phi+"), bell_state("psi-"))
+            pr.teleport_maps(bell_state("psi-")).records(bell_state("phi+"))
 
 
 class TestNaivePartialTeleport:
@@ -112,7 +118,7 @@ class TestNaivePartialTeleport:
         # beta = 0 puts all the weight on the Schmidt-aligned component
         for a2 in (0.6, 0.8, 0.95):
             s = SchmidtPair.from_a_squared(a2)
-            records = pr.naive_partial_teleport(qubit(1, 0), s)
+            records = pr.naive_maps(s).records(qubit(1, 0))
             phi_plus = records[0]
             assert phi_plus.outcome_label == "phi+"
             assert abs(phi_plus.probability - a2 / 2) < 1e-12
@@ -121,7 +127,7 @@ class TestNaivePartialTeleport:
     def test_spot_value(self):
         s = SchmidtPair.from_a_squared(0.8)
         phi = qubit(SQ2, SQ2)
-        rec = pr.naive_partial_teleport(phi, s)[0]
+        rec = pr.naive_maps(s).records(phi)[0]
         assert abs(rec.probability - 0.25) < 1e-10
         assert abs(rec.fidelity - 0.9) < 1e-10
 
@@ -131,20 +137,20 @@ class TestNaivePartialTeleport:
             s = SchmidtPair.from_a_squared(float(a2))
             for _ in range(20):
                 phi = haar_random_qubit(rng)
-                rec = pr.naive_partial_teleport(phi, s)[0]
+                rec = pr.naive_maps(s).records(phi)[0]
                 assert abs(rec.probability - pr.naive_phi_plus_probability(phi, s)) < 1e-10
                 assert abs(rec.fidelity - pr.naive_phi_plus_fidelity(phi, s)) < 1e-10
 
     def test_probabilities_sum_to_one(self):
         rng = np.random.default_rng(89)
         phi = haar_random_qubit(rng)
-        records = pr.naive_partial_teleport(phi, SchmidtPair.from_a_squared(0.7))
+        records = pr.naive_maps(SchmidtPair.from_a_squared(0.7)).records(phi)
         assert abs(sum(r.probability for r in records) - 1.0) < 1e-12
 
     def test_maximal_entanglement_reduces_to_standard(self):
         rng = np.random.default_rng(97)
         phi = haar_random_qubit(rng)
-        records = pr.naive_partial_teleport(phi, SchmidtPair(SQ2, SQ2))
+        records = pr.naive_maps(SchmidtPair(SQ2, SQ2)).records(phi)
         for r in records:
             assert abs(r.probability - 0.25) < 1e-12
             assert r.fidelity > 1 - 1e-10
@@ -179,7 +185,7 @@ class TestConclusiveTeleport:
     def test_maximal_entanglement_always_succeeds(self):
         rng = np.random.default_rng(109)
         phi = haar_random_qubit(rng)
-        records = pr.conclusive_teleport(phi, SchmidtPair(SQ2, SQ2))
+        records = pr.conclusive_maps(SchmidtPair(SQ2, SQ2)).records(phi)
         success = sum(r.probability for r in records if r.success)
         assert abs(success - 1.0) < 1e-10
         for r in records:
@@ -187,11 +193,12 @@ class TestConclusiveTeleport:
                 assert r.fidelity > 1 - 1e-10
 
     def test_partial_resource_statistics(self):
-        s = SchmidtPair.from_a_squared(0.8)
+        maps = pr.conclusive_maps(SchmidtPair.from_a_squared(0.8))
+        assert maps.classical_bits == 3
         rng = np.random.default_rng(113)
         for _ in range(20):
             phi = haar_random_qubit(rng)
-            records = pr.conclusive_teleport(phi, s)
+            records = maps.records(phi)
             assert len(records) == 6
             assert abs(sum(r.probability for r in records) - 1.0) < 1e-10
             success = sum(r.probability for r in records if r.success)
@@ -199,14 +206,13 @@ class TestConclusiveTeleport:
             for r in records:
                 if r.success:
                     assert r.fidelity > 1 - 1e-10
-                assert r.classical_bits == 3
 
     def test_success_probability_closed_form(self):
         rng = np.random.default_rng(127)
         phi = haar_random_qubit(rng)
         for a2 in np.linspace(0.5, 0.99, 8):
             s = SchmidtPair.from_a_squared(float(a2))
-            records = pr.conclusive_teleport(phi, s)
+            records = pr.conclusive_maps(s).records(phi)
             success = sum(r.probability for r in records if r.success)
             assert abs(success - pr.conclusive_success_probability(s)) < 1e-12
         # squares are products: libm pow rounds a^2 here to give 0.997114
@@ -235,7 +241,8 @@ class TestConclusiveTeleport:
         np.testing.assert_allclose(success, closed, rtol=1e-12)
         # b = 7.1e-7 is far from 0, yet each conclusive branch (2.5e-13)
         # falls under the floor: probability 0 and never a success
-        records = pr.conclusive_teleport(qubit(0.6, 0.8), SchmidtPair.from_a_squared(1 - 5e-13))
+        s = SchmidtPair.from_a_squared(1 - 5e-13)
+        records = pr.conclusive_maps(s).records(qubit(0.6, 0.8))
         conclusive = [r for r in records if not r.outcome_label.endswith("inconclusive")]
         assert len(conclusive) == 4
         assert all(r.probability == 0.0 and not r.success for r in conclusive)
@@ -243,7 +250,7 @@ class TestConclusiveTeleport:
     def test_product_resource_never_succeeds(self):
         rng = np.random.default_rng(131)
         phi = haar_random_qubit(rng)
-        records = pr.conclusive_teleport(phi, SchmidtPair(1.0, 0.0))
+        records = pr.conclusive_maps(SchmidtPair(1.0, 0.0)).records(phi)
         assert sum(r.probability for r in records if r.success) == 0.0
 
     def test_monte_carlo_within_binomial_error(self, monkeypatch):
@@ -382,37 +389,46 @@ class TestMaxTeleportFidelity:
             pr.max_teleport_fidelity(1.5)
         with pytest.raises(ValueError):
             pr.max_teleport_fidelity(-0.1)
+        with pytest.raises(ValueError):
+            pr.max_teleport_fidelity(float("nan"))
+        with pytest.raises(ValueError):
+            pr.max_teleport_fidelity(np.array([0.2, 0.5, 1.0 + 1e-15, 0.9]))
+        np.testing.assert_array_equal(pr.max_teleport_fidelity(np.array([0.25, 1.0])), [0.5, 1.0])
+
+
+def quasi_plan(p, epsilon):
+    """The row ``teleportsim quasi --p P --epsilon E`` prints: the planned
+    filter index n, p_prime, success_prob and avg_fidelity."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert cli.main(["quasi", "--p", repr(p), "--epsilon", repr(epsilon),
+                         "--format", "json"]) == 0
+    [row] = json.loads(out.getvalue())
+    return row
 
 
 class TestQuasiConclusive:
     def test_loose_target_needs_no_filtering(self):
-        phi = qubit(0.6, 0.8)
-        result = pr.quasi_conclusive_teleport(phi, 0.5, 0.5)
-        assert result.n == 1
-        assert abs(result.filter_success_prob - 1.0) < 1e-12
+        row = quasi_plan(0.5, 0.5)
+        assert row["n"] == 1
+        assert abs(row["success_prob"] - 1.0) < 1e-12
 
     def test_planner_spot_value(self):
-        phi = qubit(0.6, 0.8)
-        result = pr.quasi_conclusive_teleport(phi, 0.5, 0.01)
-        assert result.n == 66
+        row = quasi_plan(0.5, 0.01)
+        assert row["n"] == 66
         expected_success = pr.filter_success_probability(0.5, 66)
-        assert abs(result.filter_success_prob - expected_success) < 1e-12
+        assert abs(row["success_prob"] - expected_success) < 1e-12
         assert abs(expected_success - (1 + 65 * 0.5) / 66**2) < 1e-15
-        assert result.average_fidelity >= 0.99
+        assert row["avg_fidelity"] >= 0.99
 
     def test_requested_fidelity_is_reached(self):
-        phi = qubit(1, 0)
         for eps in (0.1, 0.01, 0.001):
-            result = pr.quasi_conclusive_teleport(phi, 0.5, eps)
-            assert result.average_fidelity >= 1 - eps
-            assert result.n == pr.required_filter_index(0.5, eps)
+            row = quasi_plan(0.5, eps)
+            assert row["avg_fidelity"] >= 1 - eps
+            assert row["n"] == pr.required_filter_index(0.5, eps)
 
     def test_success_probability_decreases_with_target(self):
-        phi = qubit(1, 0)
-        succ = [
-            pr.quasi_conclusive_teleport(phi, 0.5, eps).filter_success_prob
-            for eps in (0.1, 0.01, 0.001)
-        ]
+        succ = [quasi_plan(0.5, eps)["success_prob"] for eps in (0.1, 0.01, 0.001)]
         assert succ[0] > succ[1] > succ[2] > 0
 
     def test_minimality_of_planned_index(self):
@@ -429,8 +445,7 @@ class TestQuasiConclusive:
     @example(p=0.20786527963173337, epsilon=3.98589309185896e-07)
     @example(p=0.01, epsilon=1e-13)  # a filter that succeeds with probability 1.5e-17
     def test_reported_fidelity_meets_target(self, p, epsilon):
-        result = pr.quasi_conclusive_teleport(qubit(1, 0), p, epsilon)
-        assert result.average_fidelity >= 1.0 - epsilon
+        assert quasi_plan(p, epsilon)["avg_fidelity"] >= 1.0 - epsilon
 
     @settings(max_examples=200, deadline=None)
     @given(p=st.floats(0.01, 0.99), epsilon=st.floats(-15.0, -0.5).map(lambda e: 10.0**e))
@@ -450,14 +465,20 @@ class TestQuasiConclusive:
 
     def test_record_structure(self):
         phi = qubit(0.6, 0.8)
-        result = pr.quasi_conclusive_teleport(phi, 0.5, 0.1)
-        assert len(result.records) == 4
-        assert abs(sum(r.probability for r in result.records) - 1.0) < 1e-10
-        assert abs(result.p_prime - pr.p_prime_after_filter(0.5, result.n)) < 1e-12
+
+        def planned_records(p, epsilon):
+            row = quasi_plan(p, epsilon)
+            maps, _ = pr.filtered_teleport_maps(p, pr.FilterParams.from_n(row["n"]))
+            return row, maps.records(phi)
+
+        row, records = planned_records(0.5, 0.1)
+        assert len(records) == 4
+        assert abs(sum(r.probability for r in records) - 1.0) < 1e-10
+        assert abs(row["p_prime"] - pr.p_prime_after_filter(0.5, row["n"])) < 1e-12
         # records are given that the filter passed, here with probability 1.5e-17
-        result = pr.quasi_conclusive_teleport(phi, 0.01, 1e-13)
-        assert abs(sum(r.probability for r in result.records) - 1.0) < 1e-12
-        assert all(r.probability > 0.0 for r in result.records)
+        row, records = planned_records(0.01, 1e-13)
+        assert abs(sum(r.probability for r in records) - 1.0) < 1e-12
+        assert all(r.probability > 0.0 for r in records)
 
 
 class TestTrialRng:
