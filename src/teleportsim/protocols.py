@@ -19,8 +19,9 @@ All protocol functions are pure; Monte Carlo helpers take an explicit seed
 and draw from counter-based (Philox) generators (``trial_rng``), so results
 are independent of execution order.  The CLI's ``teleport`` keys one
 generator by (seed, trial index) for each trial.  The conclusive sampler
-uses one generator per run, keyed by (seed, 0): it draws one Haar input per
-block, then all blocks' outcome counts in one multinomial draw.
+uses one generator per sweep, keyed by (seed, 0): it draws one Haar input
+per block once, then is rewound to its post-Haar state for each Schmidt
+pair, whose blocks' outcome counts are one multinomial draw.
 """
 
 from __future__ import annotations
@@ -52,6 +53,11 @@ WRONG_OUTCOME_DEFECT = 1e-10
 CONCLUSIVE_BLOCKS = 200
 """Blocks of a conclusive Monte Carlo run; the trials of a block share one
 Haar-random input."""
+
+CONCLUSIVE_CHUNK = 16
+"""Schmidt pairs whose maps a conclusive Monte Carlo run evaluates per
+batch.  A pair's evaluation temporaries take about 77 KB, so the chunk
+bounds the memory of a long sweep."""
 
 # The four recovery rotations, in BELL_LABELS order: the one that restores
 # the input over the phi+ resource after that Bell outcome.
@@ -304,7 +310,8 @@ def conclusive_maps(s: SchmidtPair) -> TransferMaps:
     (Bennett, Bernstein, Popescu & Schumacher, PRA 53, 2046 (1996)).  This
     is the paper's discrimination of (a, b) vs (a, -b) in each subspace."""
     conclusive, failure = 2.0 * (s.b * s.b), s.a * s.a - s.b * s.b  # products, not libm pow
-    w = np.stack([conclusive, conclusive, failure] * 2, axis=-1)
+    w = np.where(_CONCLUSIVE_SUCCESS, np.asarray(conclusive)[..., None],
+                 np.asarray(failure)[..., None])
     return TransferMaps(_CONCLUSIVE_LABELS, readonly(w[..., None, None] * _CONCLUSIVE_UNITS),
                         _CONCLUSIVE_SUCCESS, 3)
 
@@ -402,40 +409,62 @@ def trial_rng(seed: int, index: int) -> np.random.Generator:
 
 @dataclass(frozen=True)
 class ConclusiveMonteCarlo:
+    """Sampled conclusive-protocol figures: scalars for one Schmidt pair,
+    arrays of the pairs' shape for a stack."""
+
     trials: int
-    successes: int
-    wrong_outcomes: int
-    empirical_rate: float
-    min_conclusive_fidelity: float
+    successes: int | np.ndarray
+    wrong_outcomes: int | np.ndarray
+    empirical_rate: float | np.ndarray
+    min_conclusive_fidelity: float | np.ndarray
 
 
 def conclusive_monte_carlo(s: SchmidtPair, trials: int, seed: int) -> ConclusiveMonteCarlo:
-    """Sample the conclusive protocol ``trials`` times.
+    """Sample the conclusive protocol ``trials`` times over each Schmidt
+    pair of ``s``, one pair or a stack (a sweep).
 
     The trials fall into ``CONCLUSIVE_BLOCKS`` blocks of near-equal size
     (fewer when there are fewer trials), each with one Haar-random input.
     One generator, ``trial_rng(seed, 0)``, draws all block inputs in one
-    batch and then every block's outcome counts in one multinomial draw
-    over its normalized branch probabilities.  Cost and memory grow with
-    the blocks, not with ``trials``.  A wrong outcome is a sampled
-    conclusive branch whose post-correction fidelity falls below
-    1 - WRONG_OUTCOME_DEFECT.
+    batch, shared by every pair.  Each pair's outcome counts are then one
+    multinomial draw over all blocks' normalized branch probabilities, from
+    the generator rewound to its state right after the Haar draw, so a
+    pair's figures are bitwise those of the same call on that pair alone.
+    The maps of ``CONCLUSIVE_CHUNK`` pairs are evaluated at a time.  Cost
+    and memory grow with the blocks and the pairs, not with ``trials``.
+    A wrong outcome is a sampled conclusive branch whose post-correction
+    fidelity falls below 1 - WRONG_OUTCOME_DEFECT.
     """
     if trials < 1:
         raise ValueError("trials must be positive")
     blocks = min(CONCLUSIVE_BLOCKS, trials)
     sizes = np.full(blocks, trials // blocks)
     sizes[: trials % blocks] += 1
-    maps = conclusive_maps(s)
     rng = trial_rng(seed, 0)
-    probs, fids = maps.evaluate(haar_random_amplitudes(2, rng, (blocks,)))
-    counts = rng.multinomial(sizes, probs / probs.sum(axis=1, keepdims=True))
-    hit = maps.success & (counts > 0)
-    successes = int(counts[hit].sum())
-    return ConclusiveMonteCarlo(
-        trials=trials,
-        successes=successes,
-        wrong_outcomes=int(counts[hit & (fids < 1.0 - WRONG_OUTCOME_DEFECT)].sum()),
-        empirical_rate=successes / trials,
-        min_conclusive_fidelity=float(fids[hit].min(initial=1.0)),
-    )
+    phis = haar_random_amplitudes(2, rng, (blocks,))
+    pairs = np.size(s.a)
+    after_haar = rng.bit_generator.state if pairs > 1 else None
+    successes, wrong = np.empty(pairs, dtype=np.int64), np.empty(pairs, dtype=np.int64)
+    min_fid = np.empty(pairs)
+    for lo in range(0, pairs, CONCLUSIVE_CHUNK):
+        chunk = slice(lo, lo + CONCLUSIVE_CHUNK)
+        maps = conclusive_maps(s if pairs <= CONCLUSIVE_CHUNK
+                               else SchmidtPair(np.ravel(s.a)[chunk], np.ravel(s.b)[chunk]))
+        # pair-major, (pairs, blocks, branches), as is every array below
+        probs, fids = (v.reshape(blocks, -1, len(maps.labels)).swapaxes(0, 1)
+                       for v in maps.evaluate(phis))
+        counts = []
+        for pvals in probs / probs.sum(axis=-1, keepdims=True):
+            if after_haar is not None:  # every pair draws from the post-Haar state
+                rng.bit_generator.state = after_haar
+            counts.append(rng.multinomial(sizes, pvals))
+        counts = np.array(counts)
+        hit = maps.success & (counts > 0)
+        sampled = np.where(hit, fids, 1.0)  # the fidelity of each sampled success branch
+        successes[chunk] = np.where(hit, counts, 0).sum(axis=(1, 2))
+        wrong[chunk] = np.where(sampled < 1.0 - WRONG_OUTCOME_DEFECT, counts, 0).sum(axis=(1, 2))
+        min_fid[chunk] = sampled.min(axis=(1, 2))
+    figures = successes, wrong, successes / trials, min_fid
+    shape = np.shape(s.a)
+    # one pair gives Python scalars, a stack arrays of its shape
+    return ConclusiveMonteCarlo(trials, *(f.reshape(shape) if shape else f.item() for f in figures))

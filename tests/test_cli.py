@@ -270,8 +270,9 @@ class TestCommands:
         assert abs(float(row["mean_fidelity"]) - sum(fids) / len(fids)) < 1e-15
 
     def test_conclusive_counts_pinned(self, tmp_path):
-        # counts of the batched sampler: one generator per sweep point, one
-        # Haar input per block, one multinomial draw over all blocks
+        # counts of the batched sampler: one generator per sweep, one Haar
+        # input per block, and for each point one multinomial draw over all
+        # blocks from the generator rewound to its post-Haar state
         path = tmp_path / "conc.csv"
         argv = ["conclusive", "--a2", "0.8", "--trials", "100000", "--seed", "7"]
         assert run_cli(argv + ["--out", str(path)]) == 0

@@ -483,6 +483,27 @@ def test_batched_sampler_equals_per_block_loop(a2, trials, seed):
     )
 
 
+SAMPLER_A2S = np.array([0.8, 0.5, 0.75, 1.0, 0.62])  # the pairs of the per-block reference cases
+
+
+@pytest.mark.parametrize("trials, seed", [(3000, 7), (1000, 3), (999, 11), (500, 2), (57, 5), (1, 9)])
+def test_stacked_sampler_equals_scalar_calls(trials, seed):
+    # one call over the stack rewinds its generator for each pair: every
+    # field of a pair is bitwise that of the call on the pair alone
+    stacked = pr.conclusive_monte_carlo(SchmidtPair.from_a_squared(SAMPLER_A2S), trials, seed)
+    assert stacked.trials == trials
+    for i, a2 in enumerate(SAMPLER_A2S):
+        alone = pr.conclusive_monte_carlo(SchmidtPair.from_a_squared(a2), trials, seed)
+        for field, dtype in [("successes", np.int64), ("wrong_outcomes", np.int64),
+                             ("empirical_rate", float), ("min_conclusive_fidelity", float)]:
+            got = getattr(stacked, field)
+            assert got.shape == SAMPLER_A2S.shape and got.dtype == dtype
+            assert got[i].tobytes() == np.array(getattr(alone, field), dtype).tobytes(), (a2, field)
+    column = pr.conclusive_monte_carlo(SchmidtPair.from_a_squared(SAMPLER_A2S[:, None]), trials, seed)
+    assert column.min_conclusive_fidelity.shape == (len(SAMPLER_A2S), 1)
+    assert (column.successes[:, 0] == stacked.successes).all()
+
+
 @pytest.mark.parametrize("a2, trials", [(0.75, 2000), (0.9, 777)])
 def test_successes_are_binomial_over_seeds(a2, trials):
     # successes ~ Binomial(trials, p) whatever the block inputs, since every

@@ -1,7 +1,8 @@
-"""Analytic sweeps run as one batch: a point's row must not depend on the
-sweep it sits in, and a sweep of the largest accepted length stays small.
-A ``conclusive`` row must not depend on its sweep either: every point
-draws from its own generator keyed by (seed, 0)."""
+"""Sweeps run as one batch: a point's row must not depend on the sweep it
+sits in, and a sweep of the largest accepted length stays small.  A
+``conclusive`` row must not depend on its sweep either: the sweep's one
+generator, keyed by (seed, 0), draws the Haar inputs once and is rewound
+to its post-Haar state for each point's outcome counts."""
 
 import contextlib
 import io
@@ -9,7 +10,7 @@ import tracemalloc
 
 import pytest
 
-from teleportsim import cli
+from teleportsim import cli, protocols
 
 A2_GRID, P_GRID = (0.5, 0.01, 51), (0.01, 0.01, 51)  # start, step, points
 
@@ -25,11 +26,15 @@ SWEEPS = [
 ]
 
 
-def table(argv):
+def stdout(argv):
     buf = io.StringIO()
     with contextlib.redirect_stdout(buf):
         assert cli.main(argv) == 0
-    return buf.getvalue().splitlines()[2:]  # without the schema line and the header
+    return buf.getvalue()
+
+
+def table(argv):
+    return stdout(argv).splitlines()[2:]  # without the schema line and the header
 
 
 def point_rows(command, flag, sweep, per_point, skip):
@@ -59,7 +64,7 @@ def test_point_row_does_not_depend_on_sweep(command, flag, grid, per_point, skip
             assert pair[v + step] == alone(v + step)
 
 
-@pytest.mark.parametrize("command", ["naive", "steer"])
+@pytest.mark.parametrize("command", ["naive", "steer", "conclusive --trials 200 --seed 3"])
 def test_longest_sweep_memory(command, tmp_path):
     # 10^4 points, the most a sweep may hold: its batch arrays and rows stay
     # well under 64 MB
@@ -68,10 +73,40 @@ def test_longest_sweep_memory(command, tmp_path):
     out = tmp_path / "sweep.csv"
     tracemalloc.start()
     try:
-        assert cli.main([command, "--a2", sweep, "--out", str(out)]) == 0
+        assert cli.main(command.split() + ["--a2", sweep, "--out", str(out)]) == 0
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     rows_per_point = 2 if command == "steer" else 1
     assert len(out.read_text().splitlines()) == 2 + rows_per_point * cli.MAX_SWEEP_POINTS
     assert peak < 64 * 2**20
+
+
+@pytest.mark.parametrize("chunk", [1, 7])
+@pytest.mark.parametrize("trials, seed", [(57, 5), (3000, 4)])
+def test_conclusive_chunks_do_not_change_output(chunk, trials, seed, monkeypatch):
+    # 11 points, cut into chunks of 7 and 4 or into eleven of one, against the default chunk
+    argv = f"conclusive --a2 0.5:1.0:0.05 --trials {trials} --seed {seed}".split()
+    default = stdout(argv)
+    assert len(default.splitlines()) == 2 + 11
+    monkeypatch.setattr(protocols, "CONCLUSIVE_CHUNK", chunk)
+    assert stdout(argv) == default
+
+
+def test_conclusive_sweep_draws_once(monkeypatch):
+    # one generator and one Haar draw per sweep, not one per point
+    calls = {"trial_rng": 0, "haar_random_amplitudes": 0}
+
+    def counted(name):
+        fn = getattr(protocols, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(protocols, name, counted(name))
+    assert len(table("conclusive --a2 0.5:1.0:0.05 --trials 300 --seed 8".split())) == 11
+    assert calls == {"trial_rng": 1, "haar_random_amplitudes": 1}
