@@ -7,7 +7,7 @@ three_sigma and within_three_sigma, naive's max_residual, steer's overlap and
 hjw_residual, and povm-check's psd_ok.  Identical configuration and seed
 produce byte-identical output.  The parsed arguments are the whole
 configuration: each subcommand carries its own defaults and binds its
-runner, which returns the rows of its table.
+runner, which returns its table as equal-length columns.
 
 Exit codes: 0 success, 1 I/O error, 2 validation error.
 """
@@ -122,20 +122,20 @@ def _format_cell(value) -> str:
     return str(value)
 
 
-def emit(rows: list[dict], columns: list[str], output_format: str, path: str) -> None:
-    """Write homogeneous rows as CSV (RFC 4180, LF endings, 17 significant
-    digits for floats) or as a JSON array of flat objects."""
+def emit(table: dict[str, list], output_format: str, path: str) -> None:
+    """Write a table of equal-length columns, headed by their names, as CSV
+    (RFC 4180, LF endings, 17 significant digits for floats) or as a JSON
+    array of flat objects, one per row."""
     if output_format == "csv":
         buf = io.StringIO()
         buf.write(SCHEMA_COMMENT + "\n")
         writer = csv.writer(buf, quoting=csv.QUOTE_MINIMAL, lineterminator="\n")
-        writer.writerow(columns)
-        for row in rows:
-            writer.writerow([_format_cell(row.get(c)) for c in columns])
+        writer.writerow(table)
+        for row in zip(*table.values()):
+            writer.writerow(map(_format_cell, row))
         text = buf.getvalue()
     else:
-        payload = [{c: row.get(c) for c in columns} for row in rows]
-        text = json.dumps(payload, indent=2) + "\n"
+        text = json.dumps([dict(zip(table, row)) for row in zip(*table.values())], indent=2) + "\n"
     if path == "-":
         sys.stdout.write(text)
     else:
@@ -156,7 +156,7 @@ def _phi(args: argparse.Namespace) -> PureState:
     return qubit(complex(alpha_re, alpha_im), complex(beta_re, beta_im))
 
 
-def _run_teleport(args: argparse.Namespace) -> list[dict]:
+def _run_teleport(args: argparse.Namespace) -> dict[str, list]:
     maps = protocols.teleport_maps(bell_state("psi-"))
     max_dev = 0.0
     min_fid = 1.0
@@ -170,25 +170,27 @@ def _run_teleport(args: argparse.Namespace) -> list[dict]:
         max_dev = max(max_dev, float(np.abs(probs - 0.25).max()))
         min_fid = min(min_fid, float(fids.min()))
         fid_sum += float(fids.sum())
-    return [{
-        "seed": args.seed,
-        "trials": args.trials,
-        "expected_branch_probability": 0.25,
-        "max_prob_deviation": max_dev,
-        "min_fidelity": min_fid,
-        "mean_fidelity": fid_sum / (len(maps.labels) * args.trials),
-    }]
+    return {
+        "seed": [args.seed],
+        "trials": [args.trials],
+        "expected_branch_probability": [0.25],
+        "max_prob_deviation": [max_dev],
+        "min_fidelity": [min_fid],
+        "mean_fidelity": [fid_sum / (len(maps.labels) * args.trials)],
+    }
 
 
-def _rows(columns: dict, shape: tuple[int, ...]) -> list[dict]:
-    """One row per entry of ``shape``, in C order, from columns broadcast
-    to it (a single value, one per sweep point, ...), as the Python scalars
-    ``emit`` formats."""
-    values = [np.broadcast_to(np.asarray(v), shape).ravel().tolist() for v in columns.values()]
-    return [dict(zip(columns, row)) for row in zip(*values)]
+def _table(columns: dict, shape: tuple[int, ...]) -> dict[str, list]:
+    """``columns`` (a single value, one per sweep point, ...) broadcast to
+    ``shape`` and flattened in C order, as lists of the Python scalars
+    ``emit`` formats.  A column already of that shape skips ``broadcast_to``,
+    which costs microseconds even then."""
+    arrays = {name: np.asarray(value) for name, value in columns.items()}
+    return {name: (v if v.shape == shape else np.broadcast_to(v, shape)).ravel().tolist()
+            for name, v in arrays.items()}
 
 
-def _run_naive(args: argparse.Namespace) -> list[dict]:
+def _run_naive(args: argparse.Namespace) -> dict[str, list]:
     a2s = _sweep(args, "a2")
     phi = _phi(args)
     s = SchmidtPair.from_a_squared(np.array(a2s))
@@ -197,7 +199,7 @@ def _run_naive(args: argparse.Namespace) -> list[dict]:
     evaluated = protocols.naive_maps(s).evaluate(phi.amplitudes[None])
     sim_prob, sim_fid = (v[0, :, 0] for v in evaluated)  # the phi+ branch of every pair
     alpha, beta = phi.amplitudes
-    return _rows({
+    return _table({
         "a2": a2s,
         "a": s.a,
         "b": s.b,
@@ -214,35 +216,31 @@ def _run_naive(args: argparse.Namespace) -> list[dict]:
     }, (len(a2s),))
 
 
-def _run_conclusive(args: argparse.Namespace) -> list[dict]:
+def _run_conclusive(args: argparse.Namespace) -> dict[str, list]:
     a2s = _sweep(args, "a2")
     s = SchmidtPair.from_a_squared(np.array(a2s))
     mc = protocols.conclusive_monte_carlo(s, args.trials, args.seed)
-    rows = []
+    analytic = protocols.conclusive_success_probability(s).tolist()
+    rate = mc.empirical_rate.tolist()
     # the check columns in Python floats: cheaper than numpy on a short sweep
-    for a2, analytic, successes, rate, wrong, min_fid in zip(
-            a2s, protocols.conclusive_success_probability(s).tolist(), mc.successes.tolist(),
-            mc.empirical_rate.tolist(), mc.wrong_outcomes.tolist(),
-            mc.min_conclusive_fidelity.tolist()):
-        three_sigma = 3.0 * math.sqrt(analytic * (1.0 - analytic) / args.trials)
-        dev = abs(rate - analytic)
-        rows.append({
-            "a2": a2,
-            "success_prob": analytic,
-            "trials": args.trials,
-            "seed": args.seed,
-            "successes": successes,
-            "empirical_success_rate": rate,
-            "abs_deviation": dev,
-            "three_sigma": three_sigma,
-            "within_three_sigma": dev <= three_sigma,
-            "wrong_outcomes": wrong,
-            "min_conclusive_fidelity": min_fid,
-        })
-    return rows
+    three_sigma = [3.0 * math.sqrt(p * (1.0 - p) / args.trials) for p in analytic]
+    dev = [abs(r - p) for r, p in zip(rate, analytic)]
+    return {
+        "a2": a2s,
+        "success_prob": analytic,
+        "trials": [args.trials] * len(a2s),
+        "seed": [args.seed] * len(a2s),
+        "successes": mc.successes.tolist(),
+        "empirical_success_rate": rate,
+        "abs_deviation": dev,
+        "three_sigma": three_sigma,
+        "within_three_sigma": [d <= t for d, t in zip(dev, three_sigma)],
+        "wrong_outcomes": mc.wrong_outcomes.tolist(),
+        "min_conclusive_fidelity": mc.min_conclusive_fidelity.tolist(),
+    }
 
 
-def _run_quasi(args: argparse.Namespace) -> list[dict]:
+def _run_quasi(args: argparse.Namespace) -> dict[str, list]:
     if args.n is not None and args.epsilon is not None:
         raise CliError("give either --n or --epsilon, not both")
     ps = _sweep(args, "p")
@@ -251,7 +249,7 @@ def _run_quasi(args: argparse.Namespace) -> list[dict]:
         # the planner searches per point; the closed forms take its integer n
         ns = [protocols.required_filter_index(p, args.epsilon) for p in ps]
         p_prime = [protocols.p_prime_after_filter(p, n) for p, n in zip(ps, ns)]
-        return _rows({
+        return _table({
             "p": ps,
             "epsilon": args.epsilon,
             "n": ns,
@@ -267,7 +265,7 @@ def _run_quasi(args: argparse.Namespace) -> list[dict]:
     maps, success_sim = protocols.filtered_teleport_maps(p, fp)
     p_prime_sim, avg_fidelity = maps.haar_averages()
     p_prime = protocols.p_prime_after_filter(p, n)
-    return _rows({
+    return _table({
         "p": ps,
         "n": n,
         "strength": fp.strength,
@@ -280,8 +278,8 @@ def _run_quasi(args: argparse.Namespace) -> list[dict]:
     }, (len(ps),))
 
 
-def _steer_rows(result: steering.SteeringResult, before: dict, after: dict) -> list[dict]:
-    """One row per branch of each shared state: the columns ``before``, the
+def _steer_table(result: steering.SteeringResult, before: dict, after: dict) -> dict[str, list]:
+    """Columns of one row per branch of each shared state: ``before``, the
     branch with Bob's amplitudes (empty when impossible), then ``after``."""
     possible = result.probabilities > 0.0
     columns = dict(before, branch=np.arange(len(result.labels)), label=result.labels,
@@ -289,10 +287,10 @@ def _steer_rows(result: steering.SteeringResult, before: dict, after: dict) -> l
     for i, amp in enumerate(np.moveaxis(result.states, -1, 0)):
         columns[f"bob{i}_re"] = np.where(possible, amp.real, None)
         columns[f"bob{i}_im"] = np.where(possible, amp.imag, None)
-    return _rows(dict(columns, **after), possible.shape)
+    return _table(dict(columns, **after), possible.shape)
 
 
-def _run_steer(args: argparse.Namespace) -> list[dict]:
+def _run_steer(args: argparse.Namespace) -> dict[str, list]:
     if args.a2 is not None:
         a2s = _sweep(args, "a2")
         if any(getattr(args, k) is not None for k in _PHI_FLAGS):
@@ -304,7 +302,7 @@ def _run_steer(args: argparse.Namespace) -> list[dict]:
         bob = result.states
         overlap = np.where((result.probabilities > 0.0).all(axis=-1),
                            abs((bob[:, 0].conj() * bob[:, 1]).sum(axis=-1)), 1.0)
-        return _steer_rows(
+        return _steer_table(
             result,
             {"mode": "b92", "a2": np.array(a2s)[:, None], "basis": args.basis},
             {"overlap": overlap[:, None],
@@ -316,14 +314,14 @@ def _run_steer(args: argparse.Namespace) -> list[dict]:
         povm_mod.teleportation_povm(phi.amplitudes[0], phi.amplitudes[1]),
     )
     residual = max_abs(result.realized_density() - np.eye(2) / 2)
-    return _steer_rows(result, {"mode": "telepovm"}, {"hjw_residual": residual})
+    return _steer_table(result, {"mode": "telepovm"}, {"hjw_residual": residual})
 
 
-def _povm_rows(names: list[str], p: povm_mod.Povm) -> list[dict]:
-    """Report rows of a POVM that passed ``Povm``'s checks, so ``psd_ok`` is
-    always true: a builder defect exits 2 before any row is written."""
+def _povm_table(names: list[str], p: povm_mod.Povm) -> dict[str, list]:
+    """Report columns, a row per name, of POVMs that passed ``Povm``'s checks,
+    so ``psd_ok`` is always true: a builder defect exits 2 before any output."""
     min_eig = povm_mod.min_eigenvalue(p.elements)
-    return _rows({
+    return _table({
         "povm": names,
         "dim": p.dim,
         "n_elements": len(p),
@@ -333,14 +331,15 @@ def _povm_rows(names: list[str], p: povm_mod.Povm) -> list[dict]:
     }, (len(names),))
 
 
-def _run_povm_check(args: argparse.Namespace) -> list[dict]:
+def _run_povm_check(args: argparse.Namespace) -> dict[str, list]:
     a2s = _sweep(args, "a2") if args.a2 is not None else []
     phi = _phi(args)
-    rows = _povm_rows(["teleportation"], povm_mod.teleportation_povm(*phi.amplitudes))
+    table = _povm_table(["teleportation"], povm_mod.teleportation_povm(*phi.amplitudes))
     if a2s:  # one stack of POVMs, checked at once
         disc = povm_mod.discrimination_povm(SchmidtPair.from_a_squared(np.array(a2s)))
-        rows += _povm_rows([f"discrimination(a2={a2!r})" for a2 in a2s], disc)
-    return rows
+        for name, column in _povm_table([f"discrimination(a2={a2!r})" for a2 in a2s], disc).items():
+            table[name] += column
+    return table
 
 
 class _Parser(argparse.ArgumentParser):
@@ -419,13 +418,12 @@ def main(argv: list[str] | None = None) -> int:
             raise CliError("seed must be an unsigned 64-bit integer")
         if "trials" in args and not 1 <= args.trials <= MAX_TRIALS:
             raise CliError(f"trials must lie in [1, {MAX_TRIALS}]")
-        rows = args.run(args)
+        table = args.run(args)
     except (CliError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     try:
-        # every row lists its columns in header order
-        emit(rows, list(rows[0]), args.format, args.out)
+        emit(table, args.format, args.out)
     except OSError as exc:
         print(f"I/O error: {exc}", file=sys.stderr)
         return 1

@@ -96,10 +96,11 @@ class SchmidtPair:
 
     @classmethod
     def from_a_squared(cls, a2) -> "SchmidtPair":
-        """The pair of a^2, or the stack of pairs of an array of a^2."""
-        if not np.asarray((0.5 <= a2) & (a2 <= 1.0)).all():
-            raise ValueError(f"a^2 must lie in [0.5, 1], got {a2!r}")
-        a, b = np.sqrt(a2), np.sqrt(1.0 - a2)
+        """The pair of a^2, or the stack of pairs of an array of a^2.  An a^2
+        below 0.5 gives a < b, and one above 1 (or nan) a nan root, which
+        the pair's own check rejects."""
+        with np.errstate(invalid="ignore"):
+            a, b = np.sqrt(a2), np.sqrt(1.0 - a2)
         return cls(float(a), float(b)) if np.ndim(a2) == 0 else cls(a, b)
 
 

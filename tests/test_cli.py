@@ -6,6 +6,7 @@ import json
 import re
 import warnings
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -91,39 +92,55 @@ class TestNegativeValues:
 class TestEmit:
     def test_empty_rows_header_only(self, tmp_path):
         path = tmp_path / "empty.csv"
-        cli.emit([], ["x", "y"], "csv", str(path))
+        cli.emit({"x": [], "y": []}, "csv", str(path))
         text = path.read_text()
         assert text == "# schema=1\nx,y\n"
 
     def test_json_single_element(self, tmp_path):
         path = tmp_path / "one.json"
-        cli.emit([{"x": 1, "y": 0.5}], ["x", "y"], "json", str(path))
+        cli.emit({"x": [1], "y": [0.5]}, "json", str(path))
         data = json.loads(path.read_text())
         assert data == [{"x": 1, "y": 0.5}]
 
     def test_float_round_trip(self, tmp_path):
         path = tmp_path / "f.csv"
-        cli.emit([{"v": 0.15625}], ["v"], "csv", str(path))
+        cli.emit({"v": [0.15625]}, "csv", str(path))
         rows = read_csv(str(path))
         assert float(rows[0]["v"]) == 0.15625
 
     def test_seventeen_digits(self, tmp_path):
         path = tmp_path / "pi.csv"
-        cli.emit([{"v": np.pi}], ["v"], "csv", str(path))
+        cli.emit({"v": [np.pi]}, "csv", str(path))
         rows = read_csv(str(path))
         assert float(rows[0]["v"]) == np.pi
 
     def test_quoting(self, tmp_path):
         path = tmp_path / "q.csv"
-        cli.emit([{"label": 'a,"b"', "v": 1}], ["label", "v"], "csv", str(path))
+        cli.emit({"label": ['a,"b"'], "v": [1]}, "csv", str(path))
         rows = read_csv(str(path))
         assert rows[0]["label"] == 'a,"b"'
 
     def test_newlines_are_lf(self, tmp_path):
         path = tmp_path / "lf.csv"
-        cli.emit([{"v": 1}], ["v"], "csv", str(path))
+        cli.emit({"v": [1]}, "csv", str(path))
         raw = path.read_bytes()
         assert b"\r" not in raw
+
+    def test_mixed_cell_types_exact_bytes(self, tmp_path):
+        table = {"none": [None, 1.5], "flag": [True, False], "count": [3, -1],
+                 "label": ["x y", "a,b"], "value": [0.1, 1e-300]}
+        csv_path, json_path = tmp_path / "m.csv", tmp_path / "m.json"
+        cli.emit(table, "csv", str(csv_path))
+        cli.emit(table, "json", str(json_path))
+        assert csv_path.read_bytes() == (
+            b"# schema=1\nnone,flag,count,label,value\n"
+            b",true,3,x y,0.10000000000000001\n"
+            b'1.5,false,-1,"a,b",1e-300\n')
+        assert json_path.read_bytes() == (
+            b'[\n  {\n    "none": null,\n    "flag": true,\n    "count": 3,\n'
+            b'    "label": "x y",\n    "value": 0.1\n  },\n'
+            b'  {\n    "none": 1.5,\n    "flag": false,\n    "count": -1,\n'
+            b'    "label": "a,b",\n    "value": 1e-300\n  }\n]\n')
 
 
 class TestDeterminism:
@@ -441,9 +458,12 @@ def expected_rows(args):
 def test_cli_contract_on_generated_argv(argv):
     # exit 0 with a well-formed table, exit 2 with one error line, or
     # argparse's SystemExit(2); no other exception and no warning escapes
+    # on exit 0, the table emit receives is equal-length lists of plain
+    # Python scalars: a numpy scalar would print or serialize differently
     out, err = io.StringIO(), io.StringIO()
     with warnings.catch_warnings(), contextlib.redirect_stdout(out), \
-            contextlib.redirect_stderr(err):
+            contextlib.redirect_stderr(err), \
+            mock.patch.object(cli, "emit", wraps=cli.emit) as emit:
         warnings.simplefilter("error")
         try:
             code = cli.main(argv)
@@ -456,6 +476,11 @@ def test_cli_contract_on_generated_argv(argv):
         assert len(lines) == 1 and lines[0].startswith("error: "), (argv, lines)
         assert out.getvalue() == ""
         return
+    table = emit.call_args.args[0]
+    assert all(type(column) is list for column in table.values()), argv
+    assert len({len(column) for column in table.values()}) == 1, argv
+    cell_types = {type(cell) for column in table.values() for cell in column}
+    assert cell_types <= {int, float, bool, str, type(None)}, (argv, cell_types)
     args = cli.build_parser().parse_args(argv)
     if args.format == "csv":
         lines = out.getvalue().splitlines()

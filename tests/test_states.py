@@ -176,6 +176,21 @@ class TestValidation:
         with pytest.raises(ValueError):
             SchmidtPair(1.0, 1.0)
 
+    @pytest.mark.parametrize("a2", [
+        np.nextafter(0.5, 0.0), np.nextafter(1.0, 2.0), -0.0, np.nan, np.inf, -np.inf, -1.0,
+        np.array([0.6, 1.5]),
+    ], ids=repr)
+    def test_from_a_squared_rejects_outside_closed_interval(self, a2):
+        # the pair's own check on the roots is the only one, and it warns of nothing
+        with pytest.raises(ValueError, match="a >= b >= 0"):
+            SchmidtPair.from_a_squared(a2)
+
+    def test_from_a_squared_accepts_closed_interval(self):
+        for a2 in (0.5, np.nextafter(0.5, 1.0)):
+            s = SchmidtPair.from_a_squared(a2)
+            assert s.a >= s.b > 0.0
+        assert SchmidtPair.from_a_squared(1.0) == SchmidtPair(1.0, 0.0)
+
     def test_random_constructions_normalized(self):
         rng = np.random.default_rng(29)
         for _ in range(50):
