@@ -122,18 +122,63 @@ def _format_cell(value) -> str:
     return str(value)
 
 
+def _quoted(texts: set[str]) -> dict[str, str]:
+    """Each of ``texts`` as csv.writer writes it as one field of a row of
+    several: one row of them all shows whether any needs quoting, and only
+    then is each written in a row of its own."""
+    texts = list(texts)
+    buf = io.StringIO()
+    writer = csv.writer(buf, quoting=csv.QUOTE_MINIMAL, lineterminator="\n")
+    writer.writerow(texts)
+    if buf.getvalue() == ",".join(texts) + "\n":  # a quoted field would be longer
+        return dict(zip(texts, texts))
+    quoted = {}
+    for text in texts:
+        buf.seek(0)
+        buf.truncate()
+        writer.writerow((text, ""))
+        quoted[text] = buf.getvalue()[:-2]  # without the empty field's "," and the "\n"
+    return quoted
+
+
+def _csv_column(column: list) -> tuple[str, list]:
+    """The format spec of one CSV column and the cells it formats, chosen
+    from the types of its cells: floats and ints format themselves, bools
+    and strings map to their fields, and a column of mixed types (None
+    among floats) is formatted cell by cell, quoting only its strings."""
+    kind = type(column[0]) if column else None
+    if len(column) > 1 and set(map(type, column)) != {kind}:
+        kind = None
+    if kind is float:
+        return "{:.17g}", column
+    if kind is int:
+        return "{}", column
+    if kind is bool:
+        return "{}", ["true" if v else "false" for v in column]
+    if kind is str:
+        return "{}", list(map(_quoted(set(column)).__getitem__, column))
+    quoted = _quoted({v for v in column if isinstance(v, str)})
+    return "{}", [quoted[v] if isinstance(v, str) else _format_cell(v) for v in column]
+
+
 def emit(table: dict[str, list], output_format: str, path: str) -> None:
     """Write a table of equal-length columns, headed by their names, as CSV
     (RFC 4180, LF endings, 17 significant digits for floats) or as a JSON
-    array of flat objects, one per row."""
+    array of flat objects, one per row.
+
+    CSV rows come from one template of a formatter per column, chosen from
+    the types of its cells (``_csv_column``).  Only the header and string
+    cells go through csv.writer, each distinct string once, so the bytes
+    are those of csv.writer writing every cell."""
     if output_format == "csv":
-        buf = io.StringIO()
-        buf.write(SCHEMA_COMMENT + "\n")
-        writer = csv.writer(buf, quoting=csv.QUOTE_MINIMAL, lineterminator="\n")
-        writer.writerow(table)
-        for row in zip(*table.values()):
-            writer.writerow(map(_format_cell, row))
-        text = buf.getvalue()
+        header = io.StringIO()
+        csv.writer(header, quoting=csv.QUOTE_MINIMAL, lineterminator="\n").writerow(table)
+        specs, cells = zip(*map(_csv_column, table.values())) if table else ((), ())
+        template = ",".join(specs) + "\n"
+        rows = [template.format(*row) for row in zip(*cells)]
+        if len(table) == 1:  # csv.writer quotes a row of one empty field
+            rows = ['""\n' if row == "\n" else row for row in rows]
+        text = "".join([SCHEMA_COMMENT + "\n", header.getvalue(), *rows])
     else:
         text = json.dumps([dict(zip(table, row)) for row in zip(*table.values())], indent=2) + "\n"
     if path == "-":
@@ -246,17 +291,19 @@ def _run_quasi(args: argparse.Namespace) -> dict[str, list]:
     ps = _sweep(args, "p")
     _phi(args)  # checked, though no column depends on the input
     if args.epsilon is not None:
-        # the planner searches per point; the closed forms take its integer n
-        ns = [protocols.required_filter_index(p, args.epsilon) for p in ps]
-        p_prime = [protocols.p_prime_after_filter(p, n) for p, n in zip(ps, ns)]
+        p = np.array(ps)
+        n = protocols.required_filter_index(p, args.epsilon)
+        p_prime = protocols.p_prime_after_filter(p, n)
         return _table({
             "p": ps,
             "epsilon": args.epsilon,
-            "n": ns,
-            "strength": [protocols.FilterParams.from_n(n).strength for n in ns],
+            "n": n,
+            "strength": 1.0 / np.sqrt(n),
             "p_prime": p_prime,
-            "success_prob": [protocols.filter_success_probability(p, n) for p, n in zip(ps, ns)],
-            "avg_fidelity": protocols.max_teleport_fidelity(np.array(p_prime)),
+            # Python ints: above 2**53 a float n * n would round twice
+            "success_prob": [protocols.filter_success_probability(x, k)
+                             for x, k in zip(ps, n.tolist())],
+            "avg_fidelity": protocols.max_teleport_fidelity(p_prime),
             "fidelity_target": 1.0 - args.epsilon,
         }, (len(ps),))
     n = args.n if args.n is not None else 1.0

@@ -365,10 +365,18 @@ def max_teleport_fidelity(f: float | np.ndarray) -> float | np.ndarray:
     return (2.0 * f + 1.0) / 3.0
 
 
-def required_filter_index(p: float, epsilon: float) -> int:
+def required_filter_index(p: float | np.ndarray, epsilon: float) -> int | np.ndarray:
     """Smallest integer n whose filtered singlet fraction pushes the average
-    teleportation fidelity bound (2F + 1)/3 above 1 - epsilon."""
-    if not 0.0 < p < 1.0:
+    teleportation fidelity bound (2F + 1)/3 above 1 - epsilon: an int for
+    one p, an int64 array for an array of p.
+
+    Every point starts at n = max(1, ceil(n_real)) of the closed form, and
+    n stands where it meets the target and n - 1 does not.  Elsewhere
+    rounding moved the least n (on tiny epsilon by many steps), and a
+    scalar search finds it: a bracket widened with doubling steps, then
+    bisection."""
+    ps = np.asarray(p, dtype=float)
+    if not np.logical_and(0.0 < ps, ps < 1.0).all():  # a nan fails both comparisons
         raise ValueError(f"p must lie in (0, 1), got {p!r}")
     if not 0.0 < epsilon < 1.0:
         raise ValueError(f"epsilon must lie in (0, 1), got {epsilon!r}")
@@ -376,28 +384,33 @@ def required_filter_index(p: float, epsilon: float) -> int:
     f_req = 1.0 - 1.5 * epsilon
     if 1.0 - epsilon >= 1.0:  # the target rounds to 1, which no finite n reaches
         raise ValueError(too_far)
-    n_real = f_req * (1.0 - p) / p / (1.0 - f_req)  # p * (1 - f_req) may underflow to 0
-    if not np.isfinite(n_real) or n_real > MAX_FILTER_INDEX:
+    with np.errstate(over="ignore"):  # a tiny p overflows to inf, rejected below
+        n_real = f_req * (1.0 - ps) / ps / (1.0 - f_req)  # p * (1 - f_req) may underflow to 0
+    if not (np.isfinite(n_real) & (n_real <= MAX_FILTER_INDEX)).all():
         raise ValueError(too_far)
 
-    def meets(k: int) -> bool:
-        return max_teleport_fidelity(p_prime_after_filter(p, k)) >= 1.0 - epsilon
+    def meets(x, k):
+        return max_teleport_fidelity(p_prime_after_filter(x, k)) >= 1.0 - epsilon
 
-    # ceil(n_real) can miss the least n either way by rounding, on tiny
-    # epsilon by many steps: widen a bracket (lo fails, hi meets) around it
-    # with doubling steps, then bisect.  meets() is monotone in n.
-    hi = max(1, int(np.ceil(n_real)))
-    lo, step = hi - 1, 1
-    while not meets(hi):
-        if hi >= MAX_FILTER_INDEX:
-            raise ValueError(too_far)
-        lo, hi, step = hi, min(hi + step, MAX_FILTER_INDEX), 2 * step
-    while lo >= 1 and meets(lo):
-        lo, hi, step = max(lo - step, 0), lo, 2 * step
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        lo, hi = (lo, mid) if meets(mid) else (mid, hi)
-    return hi
+    n = np.array(np.maximum(np.ceil(n_real), 1.0), dtype=np.int64)  # 0-d for one p
+    with np.errstate(divide="ignore"):  # p_prime is 0 at n - 1 = 0
+        least = meets(ps, n) & ~meets(ps, n - 1)
+    # meets() is monotone in n: widen a bracket (lo fails, hi meets) around
+    # each point's n, then bisect
+    for i in np.flatnonzero(~least):
+        p_i, hi = float(ps.flat[i]), int(n.flat[i])
+        lo, step = hi - 1, 1
+        while not meets(p_i, hi):
+            if hi >= MAX_FILTER_INDEX:
+                raise ValueError(too_far)
+            lo, hi, step = hi, min(hi + step, MAX_FILTER_INDEX), 2 * step
+        while lo >= 1 and meets(p_i, lo):
+            lo, hi, step = max(lo - step, 0), lo, 2 * step
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            lo, hi = (lo, mid) if meets(p_i, mid) else (mid, hi)
+        n.flat[i] = hi
+    return n if n.ndim else n.item()
 
 
 def trial_rng(seed: int, index: int) -> np.random.Generator:

@@ -143,6 +143,53 @@ class TestEmit:
             b'    "label": "a,b",\n    "value": 1e-300\n  }\n]\n')
 
 
+def csv_writer_reference(table):
+    """The CSV bytes of ``table`` written cell by cell through csv.writer:
+    None empty, bools as true/false, floats to 17 significant digits,
+    everything else through str()."""
+    def cell(v):
+        if v is None:
+            return ""
+        if isinstance(v, bool):
+            return "true" if v else "false"
+        return f"{v:.17g}" if isinstance(v, float) else str(v)
+
+    buf = io.StringIO()
+    buf.write("# schema=1\n")
+    writer = csv.writer(buf, quoting=csv.QUOTE_MINIMAL, lineterminator="\n")
+    writer.writerow(table)
+    for row in zip(*table.values()):
+        writer.writerow(map(cell, row))
+    return buf.getvalue()
+
+
+csv_floats = st.floats() | st.sampled_from(
+    [float("nan"), float("inf"), -float("inf"), -0.0, 0.0, 1e-300, 5e-324, 0.1, 1e22])
+csv_texts = st.text(st.sampled_from(list(',"\r\n ;\t\x00a1')), max_size=4) | st.text(max_size=4)
+# cells of one column: one type, None among floats (steer's Bob columns), or any mix
+csv_cells = (csv_floats, st.integers(), st.booleans(), csv_texts, st.none() | csv_floats,
+             st.none() | csv_floats | st.integers() | st.booleans() | csv_texts)
+
+
+@st.composite
+def csv_tables(draw):
+    """A table of 1 to 4 equal-length columns (0 to 5 rows), each of one
+    kind of cell or of mixed kinds, under names that may need quoting."""
+    rows = draw(st.integers(0, 5))
+    names = draw(st.lists(csv_texts, min_size=1, max_size=4, unique=True))
+    return {name: draw(st.lists(draw(st.sampled_from(csv_cells)), min_size=rows, max_size=rows))
+            for name in names}
+
+
+@settings(max_examples=400, deadline=None)
+@given(table=csv_tables())
+def test_emit_csv_matches_csv_writer(table):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        cli.emit(table, "csv", "-")
+    assert out.getvalue() == csv_writer_reference(table)
+
+
 class TestDeterminism:
     def test_identical_runs_byte_identical(self, tmp_path):
         p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
@@ -537,3 +584,30 @@ def test_readme_example_stdout_pinned(command, capsys):
     assert cli.main(command.split()) == 0
     digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
     assert digest == README_STDOUT_SHA256[command]
+
+
+# sha256 of the stdout of sweeps through the column formatter and the batch
+# planner, in CSV and JSON.  At a2 = 1 the rectilinear steer has an
+# impossible branch, so its Bob columns mix None (empty) and floats; the
+# 1.2e-16 plan holds filter indices above 2**53.
+SWEEP_STDOUT_SHA256 = {
+    ("steer --a2 0.5:1.0:0.05 --basis rectilinear", "csv"):
+        "f2c1bf47d716a71699ee98a629f634f5b2a3795be24865430da10dbbbde1793d",
+    ("steer --a2 0.5:1.0:0.05 --basis rectilinear", "json"):
+        "b66f9fddc455925aa614e0daec5c84dc3afa540568834cca9db47c6ffde27242",
+    ("quasi --p 0.05:0.89:0.02 --epsilon 1e-4", "csv"):
+        "333c25bd9668bcf9c5401d4a033263e0a808002d0cdc1d45850fa8cd8e2af808",
+    ("quasi --p 0.05:0.89:0.02 --epsilon 1e-4", "json"):
+        "3633390b4230ffcb6d46edf1e0007830bcab97b487c82d27ea04612c93e8843a",
+    ("quasi --p 0.001:0.01:0.001 --epsilon 1.2e-16", "csv"):
+        "5eb6e1a00ed268893494cd4370df08ba6533cbb5d23e933b4a7d0c9b850b3033",
+    ("quasi --p 0.001:0.01:0.001 --epsilon 1.2e-16", "json"):
+        "107b4524b2825d546ef7af177b617fc09b5909495b0b39c53d499db2f2bd496e",
+}
+
+
+@pytest.mark.parametrize("command, output_format", SWEEP_STDOUT_SHA256)
+def test_sweep_stdout_pinned(command, output_format, capsys):
+    assert cli.main(command.split() + ["--format", output_format]) == 0
+    digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+    assert digest == SWEEP_STDOUT_SHA256[command, output_format]

@@ -463,6 +463,25 @@ class TestQuasiConclusive:
             with pytest.raises(ValueError, match="requires a filter index beyond"):
                 pr.required_filter_index(p, epsilon)
 
+    @settings(max_examples=200, deadline=None)
+    @given(p=st.lists(st.floats(0.01, 0.99), min_size=1, max_size=12),
+           epsilon=st.floats(-15.0, np.log10(0.3)).map(lambda e: 10.0**e))
+    @example(p=list(np.arange(1, 52) / 100), epsilon=1e-3)  # 4 points miss ceil(n_real)
+    @example(p=list(np.arange(1, 52) / 100), epsilon=1e-13)  # every point misses it
+    def test_stacked_plan_equals_scalar_plans(self, p, epsilon):
+        planned = pr.required_filter_index(np.array(p), epsilon)
+        assert planned.dtype == np.int64 and planned.shape == (len(p),)
+        assert planned.tolist() == [pr.required_filter_index(float(x), epsilon) for x in p]
+        scalar = pr.required_filter_index(p[0], epsilon)
+        assert type(scalar) is int
+        assert pr.required_filter_index(np.array(p[:1]), epsilon).tolist() == [scalar]
+
+    def test_unreachable_epsilon_in_a_sweep_exits_two(self, capsys):
+        for sweep in ("0.5", "0.1:0.9:0.1"):
+            assert cli.main(["quasi", "--p", sweep, "--epsilon", "1e-18"]) == 2
+            assert capsys.readouterr() == (
+                "", "error: epsilon=1e-18 requires a filter index beyond 4611686018427387904\n")
+
     def test_record_structure(self):
         phi = qubit(0.6, 0.8)
 

@@ -23,6 +23,7 @@ SWEEPS = [
     ("steer --basis rectilinear", "--a2", A2_GRID, 2, 0),
     ("povm-check", "--a2", A2_GRID, 1, 1),
     ("conclusive --trials 200 --seed 3", "--a2", A2_GRID, 1, 0),
+    ("quasi --epsilon 1e-13", "--p", P_GRID, 1, 0),  # every point takes the planner's search
 ]
 
 
@@ -64,16 +65,21 @@ def test_point_row_does_not_depend_on_sweep(command, flag, grid, per_point, skip
             assert pair[v + step] == alone(v + step)
 
 
-@pytest.mark.parametrize("command", ["naive", "steer", "conclusive --trials 200 --seed 3"])
+@pytest.mark.parametrize("command", ["naive", "steer", "conclusive --trials 200 --seed 3",
+                                     "quasi --epsilon 1e-3"])
 def test_longest_sweep_memory(command, tmp_path):
-    # 10^4 points, the most a sweep may hold: its batch arrays and rows stay
-    # well under 64 MB
-    sweep = f"0.5:1.0:{0.5 / (cli.MAX_SWEEP_POINTS - 1)!r}"
+    # 10^4 points, the most a sweep may hold: its batch arrays, its columns
+    # and their formatted rows stay well under 64 MB
+    if command.startswith("quasi"):  # p inside (0, 1)
+        step = 1.0 / (cli.MAX_SWEEP_POINTS + 1)
+        flag, sweep = "--p", f"{step!r}:{cli.MAX_SWEEP_POINTS * step!r}:{step!r}"
+    else:
+        flag, sweep = "--a2", f"0.5:1.0:{0.5 / (cli.MAX_SWEEP_POINTS - 1)!r}"
     assert len(cli.parse_range(sweep)) == cli.MAX_SWEEP_POINTS
     out = tmp_path / "sweep.csv"
     tracemalloc.start()
     try:
-        assert cli.main(command.split() + ["--a2", sweep, "--out", str(out)]) == 0
+        assert cli.main(command.split() + [flag, sweep, "--out", str(out)]) == 0
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
